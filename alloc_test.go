@@ -123,8 +123,13 @@ func TestFingerprintDocAllocs(t *testing.T) {
 // arena safety contract: everything a caller keeps from a discovery must be
 // deep-copied out before the arena is released (see docs/PERFORMANCE.md).
 // The wire snapshot taken while the arena was live must be byte-identical to
-// the string path's answer even after the arena has been released,
+// the nil-arena answer even after the arena has been released,
 // re-acquired, and dirtied by parsing a different document.
+//
+// The nil-arena Result is the other half: it owns its memory, so it must
+// survive the same pool churn untouched. It is taken before any pooled
+// arena is released, so if nil-arena callers were ever routed through the
+// pool, the dirtying parse below would overwrite its tree.
 func TestArenaReleaseDoesNotCorruptWireResults(t *testing.T) {
 	docs := corpus.TestDocuments()
 	if len(docs) < 2 {
@@ -132,6 +137,12 @@ func TestArenaReleaseDoesNotCorruptWireResults(t *testing.T) {
 	}
 	d, other := docs[0], docs[1]
 	opts := core.Options{Ontology: BuiltinOntology(string(d.Site.Domain))}
+
+	ref, err := core.Discover(d.HTML, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRecords, wantExplain := fromCore(ref), core.Split(d.HTML, ref), core.Explain(ref)
 
 	arena := tagtree.AcquireArena()
 	aopts := opts
@@ -153,11 +164,16 @@ func TestArenaReleaseDoesNotCorruptWireResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := core.Discover(d.HTML, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fromCore(ref); !reflect.DeepEqual(snapshot, want) {
+	if !reflect.DeepEqual(snapshot, want) {
 		t.Errorf("wire snapshot corrupted after arena release:\n got %+v\nwant %+v", snapshot, want)
+	}
+	if got := fromCore(ref); !reflect.DeepEqual(got, want) {
+		t.Errorf("nil-arena result changed under pool churn:\n got %+v\nwant %+v", got, want)
+	}
+	if got := core.Split(d.HTML, ref); !reflect.DeepEqual(got, wantRecords) {
+		t.Errorf("nil-arena Split changed under pool churn: got %d records, want %d", len(got), len(wantRecords))
+	}
+	if got := core.Explain(ref); got != wantExplain {
+		t.Errorf("nil-arena Explain changed under pool churn:\n got %s\nwant %s", got, wantExplain)
 	}
 }

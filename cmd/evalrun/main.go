@@ -1,9 +1,9 @@
 // Command evalrun runs the method-generic evaluation harness: every
 // registered extractor (the ORSIH compound, each single-heuristic ablation,
-// the learned-wrapper fast path, and the highest-fan-out baseline) is scored
-// on the synthetic corpus with structural-match precision/recall/F1, and the
-// result is printed as a leaderboard table and optionally archived as a
-// machine-readable QUALITY_<n>.json report.
+// and the learned-wrapper fast path) is scored on the synthetic corpus with
+// structural-match precision/recall/F1, and the result is printed as a
+// leaderboard table and optionally archived as a machine-readable
+// QUALITY_<n>.json report.
 //
 // Usage:
 //

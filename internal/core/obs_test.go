@@ -79,10 +79,10 @@ func TestDiscoverMetrics(t *testing.T) {
 	}
 }
 
-// TestDiscoverConcurrentObserved exercises the parallel heuristic fan-out
-// under the race detector: many Discover calls run at once, all feeding one
-// shared metrics registry while each carries its own trace. Span order must
-// stay deterministic per call even though the heuristics run concurrently.
+// TestDiscoverConcurrentObserved runs many Discover calls at once under the
+// race detector, all feeding one shared metrics registry while each carries
+// its own trace. Every call must file its spans in the same order: the
+// calls run concurrently, the heuristics inside one call run in place.
 func TestDiscoverConcurrentObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	ont := ontology.Builtin("obituary")

@@ -2,12 +2,12 @@ package eval
 
 // The method-generic half of the harness: an Extractor is anything that
 // turns a document into record boundaries. The full ORSIH pipeline, each
-// single-heuristic ablation, the learned-wrapper fast path, and a trivial
-// highest-fan-out baseline are registered below; every method is scored on
-// the same corpus with the same structural-match metric, so the leaderboard
-// (cmd/evalrun, QUALITY_<n>.json) compares them on one footing — and any
-// future method (nested records, modern-page heuristics, an external
-// baseline) joins by adding a Registration.
+// single-heuristic ablation, and the learned-wrapper fast path are
+// registered below; every method is scored on the same corpus with the same
+// structural-match metric, so the leaderboard (cmd/evalrun,
+// QUALITY_<n>.json) compares them on one footing — and any future method
+// (nested records, modern-page heuristics, an external baseline) joins by
+// adding a Registration.
 
 import (
 	"repro/internal/certainty"
@@ -41,8 +41,9 @@ type Registration struct {
 }
 
 // Registrations lists every method the leaderboard tracks, in registry
-// order: the paper's compound, the five single-heuristic ablations, the
-// learned-wrapper fast path, and the naive baseline.
+// order: the paper's compound, the five single-heuristic ablations (HT-only,
+// the most frequent candidate tag, doubles as the naive baseline), and the
+// learned-wrapper fast path.
 func Registrations() []Registration {
 	regs := []Registration{{
 		Name:        "ORSIH",
@@ -63,11 +64,6 @@ func Registrations() []Registration {
 			Name:        "wrapper",
 			Description: "learned-wrapper fast path: answers served from the template store after one cold learn per page shape",
 			New:         newWrapperExtractor,
-		},
-		Registration{
-			Name:        "fanout-top",
-			Description: "naive baseline: the highest-count candidate tag in the highest-fan-out subtree",
-			New:         func() Extractor { return fanoutExtractor{} },
 		},
 	)
 }
@@ -135,23 +131,5 @@ func (e *wrapperExtractor) Extract(doc *corpus.Document, ont *ontology.Ontology)
 	if err != nil {
 		return nil, err
 	}
-	return res.Boundaries(doc.HTML), nil
-}
-
-// fanoutExtractor is the trivial baseline: no heuristics, no certainty —
-// just the most frequent candidate tag inside the highest-fan-out subtree.
-// Any method that cannot beat it is not contributing evidence.
-type fanoutExtractor struct{}
-
-func (fanoutExtractor) Name() string { return "fanout-top" }
-
-func (fanoutExtractor) Extract(doc *corpus.Document, _ *ontology.Ontology) ([]tagtree.Span, error) {
-	tree := tagtree.Parse(doc.HTML)
-	sub := tree.HighestFanOut()
-	cands := tagtree.Candidates(sub, tagtree.DefaultCandidateThreshold)
-	if len(cands) == 0 {
-		return nil, core.ErrNoCandidates
-	}
-	res := &core.Result{Separator: cands[0].Name, Subtree: sub, Tree: tree}
 	return res.Boundaries(doc.HTML), nil
 }

@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/certainty"
 	"repro/internal/corpus"
 )
 
 // TestRegistrationsShape pins the registry the leaderboard tracks: at least
-// the paper's compound, five ablations, the wrapper fast path, and the
-// baseline — with unique names and working constructors.
+// the paper's compound, five ablations, and the wrapper fast path — with
+// unique names and working constructors.
 func TestRegistrationsShape(t *testing.T) {
 	regs := Registrations()
 	if len(regs) < 5 {
@@ -30,7 +31,7 @@ func TestRegistrationsShape(t *testing.T) {
 			t.Errorf("registration %q constructs extractor named %q", reg.Name, got)
 		}
 	}
-	for _, want := range []string{"ORSIH", "OM-only", "RP-only", "SD-only", "IT-only", "HT-only", "wrapper", "fanout-top"} {
+	for _, want := range []string{"ORSIH", "OM-only", "RP-only", "SD-only", "IT-only", "HT-only", "wrapper"} {
 		if !seen[want] {
 			t.Errorf("registry is missing %q", want)
 		}
@@ -40,7 +41,8 @@ func TestRegistrationsShape(t *testing.T) {
 // TestLeaderboardTestCorpus checks the substance of the leaderboard on the
 // 20-document test corpus: the compound is perfect (the paper's Table 9
 // result restated as record-level F1), the wrapper fast path serves the
-// identical answer warm, and the naive baseline does not beat the compound.
+// identical answer warm, and the HT-only baseline (the most frequent
+// candidate tag, no other evidence) does not beat the compound.
 func TestLeaderboardTestCorpus(t *testing.T) {
 	report := RunLeaderboard(corpus.TestDocuments(), QualityOptions{})
 	if report.Documents != 20 {
@@ -67,12 +69,12 @@ func TestLeaderboardTestCorpus(t *testing.T) {
 			wrapper, orsih)
 	}
 
-	baseline, ok := report.Row("fanout-top")
+	baseline, ok := report.Row("HT-only")
 	if !ok {
-		t.Fatal("no fanout-top row")
+		t.Fatal("no HT-only row")
 	}
 	if baseline.Forgiving.F1 > orsih.Forgiving.F1 {
-		t.Errorf("naive baseline (F1 %v) beats the compound (F1 %v)",
+		t.Errorf("HT-only baseline (F1 %v) beats the compound (F1 %v)",
 			baseline.Forgiving.F1, orsih.Forgiving.F1)
 	}
 
@@ -150,11 +152,13 @@ func TestLeaderboardDocOrderInvariance(t *testing.T) {
 func TestLeaderboardCustomRegistry(t *testing.T) {
 	report := RunLeaderboard(corpus.TestDocuments()[:3], QualityOptions{
 		Extractors: []Registration{{
-			Name: "fanout-only",
-			New:  func() Extractor { return fanoutExtractor{} },
+			Name: "RP-custom",
+			New: func() Extractor {
+				return &discoverExtractor{name: "RP-custom", combo: certainty.Combination{certainty.RP}}
+			},
 		}},
 	})
-	if len(report.Extractors) != 1 || report.Extractors[0].Name != "fanout-only" {
+	if len(report.Extractors) != 1 || report.Extractors[0].Name != "RP-custom" {
 		t.Fatalf("custom registry not honored: %+v", report.Extractors)
 	}
 }
@@ -162,7 +166,7 @@ func TestLeaderboardCustomRegistry(t *testing.T) {
 func TestFormatLeaderboard(t *testing.T) {
 	report := RunLeaderboard(corpus.TestDocuments()[:2], QualityOptions{})
 	table := FormatLeaderboard(report)
-	for _, want := range []string{"leaderboard", "rank", "ORSIH", "fanout-top", "wrapper"} {
+	for _, want := range []string{"leaderboard", "rank", "ORSIH", "HT-only", "wrapper"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table is missing %q:\n%s", want, table)
 		}

@@ -2,10 +2,12 @@ package htmlparse
 
 import "strings"
 
-// Arena is the tokenizer half of the per-request scratch arena: a reusable
-// token slab, a reusable attribute slab, and a tag/attribute-name intern
-// table. TokenizeHTML and TokenizeXML fill the slabs in place, so a warm
-// arena tokenizes an entire document without allocating.
+// Arena is the package's tokenizer, and the tokenizer half of the
+// per-request scratch arena: a reusable token slab, a reusable attribute
+// slab, and a tag/attribute-name intern table. TokenizeHTML and TokenizeXML
+// fill the slabs in place, so a warm arena tokenizes an entire document
+// without allocating. A one-off caller tokenizes on NewArena() and keeps the
+// result for as long as it likes.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //
@@ -14,9 +16,7 @@ import "strings"
 //     anything that must outlive the request.
 //   - Token names and undecoded text are zero-copy views into the input
 //     document; the document must stay immutable while results derived from
-//     it are alive. (The string tokenizer has the same aliasing behavior —
-//     strings.ToLower returns its input unchanged when nothing needs
-//     lowering — so this is not a new hazard.)
+//     it are alive.
 //
 // An Arena is not safe for concurrent use. internal/tagtree's Arena embeds
 // one and manages pooling; most callers want that.
@@ -107,8 +107,8 @@ func (a *Arena) lowerIntern(s string) string {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= 0x80 {
-			// Non-ASCII attribute keys take the Unicode-aware lowering the
-			// string tokenizer uses, so both paths agree byte for byte.
+			// Non-ASCII attribute keys take strings.ToLower's Unicode-aware
+			// lowering, exactly as the reference tokenizer does.
 			return a.intern(strings.ToLower(s))
 		}
 		if c >= 'A' && c <= 'Z' {
@@ -144,9 +144,8 @@ func (a *Arena) intern(name string) string {
 	return name
 }
 
-// TokenizeHTML tokenizes doc into the arena's slabs with the exact grammar
-// of Tokenize. The returned slice is the arena's; see the ownership rules on
-// Arena.
+// TokenizeHTML tokenizes an HTML document into the arena's slabs. The
+// returned slice is the arena's; see the ownership rules on Arena.
 func (a *Arena) TokenizeHTML(s string) []Token {
 	a.reset(s)
 	pos := 0
@@ -176,7 +175,7 @@ func (a *Arena) TokenizeHTML(s string) []Token {
 				pos = next
 			case '/':
 				i := NameEnd(s, pos+2)
-				name := a.lowerIntern(s[pos+2:i])
+				name := a.lowerIntern(s[pos+2 : i])
 				end := indexFrom(s, i, '>')
 				a.tokens = append(a.tokens, Token{Type: EndTag, Name: name, Pos: pos, End: end})
 				pos = end
@@ -194,10 +193,14 @@ func (a *Arena) TokenizeHTML(s string) []Token {
 	return a.tokens
 }
 
-// TokenizeXML tokenizes doc into the arena's slabs with the exact grammar of
-// TokenizeXML: element names keep their case, CDATA becomes literal text,
-// processing instructions become comments, and there are no void or raw-text
-// elements.
+// TokenizeXML tokenizes an XML document into the arena's slabs. It differs
+// from TokenizeHTML in the ways the paper's footnote 1 ("most of this work
+// should carry over directly to other document type definitions, such as
+// XML") requires: element names keep their case (attribute keys are still
+// lowercased), CDATA becomes literal text, processing instructions become
+// comments, and there are no void or raw-text elements — emptiness comes
+// only from explicit self-closing tags. Malformed constructs still degrade
+// to text, so imperfect feeds tokenize.
 func (a *Arena) TokenizeXML(s string) []Token {
 	a.reset(s)
 	pos := 0
@@ -232,7 +235,7 @@ func (a *Arena) TokenizeXML(s string) []Token {
 				pos = next
 			case '/':
 				i := NameEnd(s, pos+2)
-				name := s[pos+2:i] // case preserved
+				name := s[pos+2 : i] // case preserved
 				end := indexFrom(s, i, '>')
 				a.tokens = append(a.tokens, Token{Type: EndTag, Name: name, Pos: pos, End: end})
 				pos = end

@@ -28,7 +28,7 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		toks := Tokenize(s)
+		toks := tokenize(s)
 		pos := 0
 		for _, tok := range toks {
 			if tok.Pos != pos {
@@ -58,7 +58,7 @@ func FuzzTokenizeXML(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		toks := TokenizeXML(s)
+		toks := tokenizeXML(s)
 		pos := 0
 		for _, tok := range toks {
 			if tok.Pos != pos || tok.End < tok.Pos || tok.End > len(s) {

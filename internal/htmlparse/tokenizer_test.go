@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// tokenize and tokenizeXML run the arena tokenizer on a fresh arena, so each
+// returned stream owns its slabs.
+func tokenize(s string) []Token    { return NewArena().TokenizeHTML(s) }
+func tokenizeXML(s string) []Token { return NewArena().TokenizeXML(s) }
+
 func tokenKinds(toks []Token) string {
 	var b strings.Builder
 	for i, t := range toks {
@@ -29,7 +34,7 @@ func tokenKinds(toks []Token) string {
 }
 
 func TestTokenizeSimpleDocument(t *testing.T) {
-	toks := Tokenize("<html><body>Hello</body></html>")
+	toks := tokenize("<html><body>Hello</body></html>")
 	got := tokenKinds(toks)
 	want := "<html> <body> T </body> </html>"
 	if got != want {
@@ -57,7 +62,7 @@ func TestTokenizeAttributes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			toks := Tokenize(c.input)
+			toks := tokenize(c.input)
 			if len(toks) != 1 || toks[0].Type != StartTag {
 				t.Fatalf("tokens = %v", toks)
 			}
@@ -73,7 +78,7 @@ func TestTokenizeAttributes(t *testing.T) {
 }
 
 func TestTokenizeMultipleAttributes(t *testing.T) {
-	toks := Tokenize(`<h1 align="left" class=big id='x'>`)
+	toks := tokenize(`<h1 align="left" class=big id='x'>`)
 	if len(toks[0].Attrs) != 3 {
 		t.Fatalf("attrs = %v, want 3", toks[0].Attrs)
 	}
@@ -86,7 +91,7 @@ func TestTokenizeMultipleAttributes(t *testing.T) {
 }
 
 func TestTokenizeUppercaseTagNames(t *testing.T) {
-	toks := Tokenize("<HTML><Body></BODY></html>")
+	toks := tokenize("<HTML><Body></BODY></html>")
 	names := []string{"html", "body", "body", "html"}
 	for i, n := range names {
 		if toks[i].Name != n {
@@ -96,7 +101,7 @@ func TestTokenizeUppercaseTagNames(t *testing.T) {
 }
 
 func TestTokenizeComments(t *testing.T) {
-	toks := Tokenize("a<!-- hidden <b> -->b")
+	toks := tokenize("a<!-- hidden <b> -->b")
 	got := tokenKinds(toks)
 	if got != "T C T" {
 		t.Fatalf("kinds = %q, want T C T", got)
@@ -107,14 +112,14 @@ func TestTokenizeComments(t *testing.T) {
 }
 
 func TestTokenizeUnterminatedComment(t *testing.T) {
-	toks := Tokenize("a<!-- never ends")
+	toks := tokenize("a<!-- never ends")
 	if len(toks) != 2 || toks[1].Type != Comment {
 		t.Fatalf("tokens = %v", toks)
 	}
 }
 
 func TestTokenizeDoctype(t *testing.T) {
-	toks := Tokenize(`<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 3.2//EN"><html>`)
+	toks := tokenize(`<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 3.2//EN"><html>`)
 	if toks[0].Type != Doctype {
 		t.Fatalf("first token = %v, want doctype", toks[0])
 	}
@@ -124,7 +129,7 @@ func TestTokenizeDoctype(t *testing.T) {
 }
 
 func TestTokenizeBareLessThan(t *testing.T) {
-	toks := Tokenize("price < 5000 and > 100")
+	toks := tokenize("price < 5000 and > 100")
 	if len(toks) != 1 || toks[0].Type != Text {
 		t.Fatalf("tokens = %v, want single text", toks)
 	}
@@ -134,7 +139,7 @@ func TestTokenizeBareLessThan(t *testing.T) {
 }
 
 func TestTokenizeSelfClosing(t *testing.T) {
-	toks := Tokenize("<br/><hr />")
+	toks := tokenize("<br/><hr />")
 	if !toks[0].SelfClosing || !toks[1].SelfClosing {
 		t.Errorf("self-closing flags: %v %v", toks[0].SelfClosing, toks[1].SelfClosing)
 	}
@@ -144,7 +149,7 @@ func TestTokenizeSelfClosing(t *testing.T) {
 }
 
 func TestTokenizeRawTextScript(t *testing.T) {
-	toks := Tokenize(`<script>if (a < b && c > d) { x("<b>"); }</script>after`)
+	toks := tokenize(`<script>if (a < b && c > d) { x("<b>"); }</script>after`)
 	got := tokenKinds(toks)
 	if got != "<script> T </script> T" {
 		t.Fatalf("kinds = %q", got)
@@ -155,7 +160,7 @@ func TestTokenizeRawTextScript(t *testing.T) {
 }
 
 func TestTokenizeRawTextStyleCaseInsensitiveClose(t *testing.T) {
-	toks := Tokenize("<style>b { color: red }</STYLE>x")
+	toks := tokenize("<style>b { color: red }</STYLE>x")
 	got := tokenKinds(toks)
 	if got != "<style> T </style> T" {
 		t.Fatalf("kinds = %q", got)
@@ -163,7 +168,7 @@ func TestTokenizeRawTextStyleCaseInsensitiveClose(t *testing.T) {
 }
 
 func TestTokenizeUnterminatedRawText(t *testing.T) {
-	toks := Tokenize("<script>var x = 1;")
+	toks := tokenize("<script>var x = 1;")
 	if len(toks) != 2 || toks[1].Type != Text {
 		t.Fatalf("tokens = %v", toks)
 	}
@@ -171,7 +176,7 @@ func TestTokenizeUnterminatedRawText(t *testing.T) {
 
 func TestTokenizePositions(t *testing.T) {
 	input := "ab<b>cd</b>"
-	toks := Tokenize(input)
+	toks := tokenize(input)
 	for _, tok := range toks {
 		if tok.Pos < 0 || tok.End > len(input) || tok.Pos >= tok.End {
 			t.Errorf("token %v has bad range [%d,%d)", tok, tok.Pos, tok.End)
@@ -184,7 +189,7 @@ func TestTokenizePositions(t *testing.T) {
 
 func TestTokenizePositionsCoverInput(t *testing.T) {
 	input := `<html><!-- c --><body bgcolor="#fff">text &amp; more<br></body></html>`
-	toks := Tokenize(input)
+	toks := tokenize(input)
 	covered := 0
 	for _, tok := range toks {
 		covered += tok.End - tok.Pos
@@ -203,7 +208,7 @@ func TestTokenizePositionsCoverInput(t *testing.T) {
 }
 
 func TestTokenizeProcessingInstruction(t *testing.T) {
-	toks := Tokenize(`<?xml version="1.0"?>x`)
+	toks := tokenize(`<?xml version="1.0"?>x`)
 	if toks[0].Type != Comment {
 		t.Fatalf("PI should tokenize as comment, got %v", toks[0])
 	}
@@ -215,15 +220,15 @@ func TestTokenizeProcessingInstruction(t *testing.T) {
 func TestTokenizeUnterminatedPI(t *testing.T) {
 	// Regression: "<?" at EOF used to panic (found by FuzzTokenize).
 	for _, in := range []string{"<?", "a<?", "<?x", "<?xml"} {
-		toks := Tokenize(in)
+		toks := tokenize(in)
 		if len(toks) == 0 {
-			t.Errorf("Tokenize(%q) returned nothing", in)
+			t.Errorf("tokenize(%q) returned nothing", in)
 		}
 	}
 }
 
 func TestTokenizeUnclosedTagAtEOF(t *testing.T) {
-	toks := Tokenize("<b")
+	toks := tokenize("<b")
 	if len(toks) != 1 {
 		t.Fatalf("tokens = %v", toks)
 	}
@@ -233,7 +238,7 @@ func TestTokenizeUnclosedTagAtEOF(t *testing.T) {
 }
 
 func TestTokenizeEmptyInput(t *testing.T) {
-	if toks := Tokenize(""); len(toks) != 0 {
+	if toks := tokenize(""); len(toks) != 0 {
 		t.Errorf("tokens = %v, want none", toks)
 	}
 }
@@ -251,7 +256,7 @@ func TestTokenTypeString(t *testing.T) {
 }
 
 func TestAttrLookupCaseInsensitiveAndMissing(t *testing.T) {
-	toks := Tokenize(`<td WIDTH=40>`)
+	toks := tokenize(`<td WIDTH=40>`)
 	if v, ok := toks[0].Attr("WiDtH"); !ok || v != "40" {
 		t.Errorf("case-insensitive lookup = %q %v", v, ok)
 	}
@@ -263,7 +268,7 @@ func TestAttrLookupCaseInsensitiveAndMissing(t *testing.T) {
 func TestTokenizeTagNamePunctuation(t *testing.T) {
 	// Name bytes include -, _, :, . — XMLish names survive the HTML
 	// tokenizer too.
-	toks := Tokenize("<my-tag><ns:other><x_y.z>")
+	toks := tokenize("<my-tag><ns:other><x_y.z>")
 	want := []string{"my-tag", "ns:other", "x_y.z"}
 	for i, w := range want {
 		if toks[i].Name != w {
@@ -328,7 +333,7 @@ func TestDecodeEntitiesNumeric(t *testing.T) {
 // input, including binary garbage.
 func TestTokenizeArbitraryInputProperty(t *testing.T) {
 	f := func(s string) bool {
-		toks := Tokenize(s)
+		toks := tokenize(s)
 		pos := 0
 		for _, tok := range toks {
 			if tok.Pos != pos || tok.End < tok.Pos || tok.End > len(s) {
@@ -356,9 +361,10 @@ func TestDecodeEntitiesIdentityProperty(t *testing.T) {
 
 func BenchmarkTokenize(b *testing.B) {
 	doc := strings.Repeat(`<tr><td><b>1993 Ford Taurus</b> &mdash; $4,500 <a href="mailto:x@y.com">call</a></td></tr>`, 200)
+	a := NewArena()
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Tokenize(doc)
+		a.TokenizeHTML(doc)
 	}
 }

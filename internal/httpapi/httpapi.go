@@ -530,8 +530,8 @@ func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *r
 // combination rule that produced the result. templated enables core's
 // tree-level template fast path; pass false when the caller already did its
 // own store lookup (the document-level path) or must observe the real
-// heuristics (explain, spot-checks). arena, when non-nil, puts the run on
-// the byte-level hot path; the caller owns its lifetime and must not release
+// heuristics (explain, spot-checks). arena, when non-nil, holds the run's
+// parse memory; the caller owns its lifetime and must not release
 // it until it is done with the returned Result (which retains arena-owned
 // tree nodes — see docs/PERFORMANCE.md).
 func (s server) runDiscover(ctx context.Context, mode, doc string, req *request, templated bool, arena *tagtree.Arena) (*core.Result, core.Options, *apiError) {

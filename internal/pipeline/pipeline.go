@@ -236,9 +236,9 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker for the byte-level hot path: each attempt
-			// resets and reuses it, and fillResult deep-copies everything an
-			// Outcome carries before the next task overwrites the tree.
+			// One pooled arena per worker: each attempt resets and reuses
+			// it, and fillResult deep-copies everything an Outcome carries
+			// before the next task overwrites the tree.
 			arena := tagtree.AcquireArena()
 			defer arena.Release()
 			for t := range work {

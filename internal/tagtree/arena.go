@@ -8,12 +8,14 @@ import (
 	"repro/internal/htmlparse"
 )
 
-// Arena is the per-request scratch for the byte-level hot path: the
-// tokenizer slabs (via htmlparse.Arena), the normalized token buffer, node
-// blocks, and the children/chunk/event slabs all live here and are reused
-// across parses instead of being garbage-collected per document. Acquire one
-// with AcquireArena, pass it to ParseArenaContext (or core.Options.Arena),
-// and Release it when the request's results have been copied out.
+// Arena is the memory every tag tree is built in: the tokenizer slabs (via
+// htmlparse.Arena), the normalized token buffer, the node slab, and the
+// children/chunk/event slabs. A pooled arena reuses them across parses
+// instead of leaving them to the garbage collector per document: acquire
+// one with AcquireArena, pass it to ParseArenaContext (or
+// core.Options.Arena), and Release it when the request's results have been
+// copied out. A nil arena means a fresh one that never joins the pool, so
+// its tree lives as long as the caller holds it.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //
@@ -35,11 +37,11 @@ type Arena struct {
 	norm  []htmlparse.Token // normalized (balanced) token stream
 	stack []string          // normalize's open-element stack
 
-	// Node storage: fixed-size blocks so node pointers stay stable while the
-	// arena grows. Node k of a parse lives at blocks[k>>blockShift][k&blockMask];
-	// index 0 is the synthetic root.
-	blocks    [][]Node
-	highNodes int // high-water node count since last scrub, for Release
+	// Node storage: node k of a parse is nodes[k], index 0 the synthetic
+	// root. The slab is sized from the counting pass before the building
+	// pass takes any node pointer, so pointers stay stable within a parse.
+	nodes     []Node
+	highNodes int // high-water node count in nodes since last scrub
 
 	// Per-parse slabs. children and chunks are carved into per-node windows
 	// between the counting and building passes; events backs Tree.Events.
@@ -57,12 +59,6 @@ type Arena struct {
 	tree     Tree
 	released bool
 }
-
-const (
-	nodeBlockShift = 9
-	nodeBlockSize  = 1 << nodeBlockShift // 512 nodes per block
-	nodeBlockMask  = nodeBlockSize - 1
-)
 
 // Retention bounds: what one pooled arena may keep between requests. A
 // pathological document must not pin its peak footprint in the pool forever.
@@ -119,12 +115,10 @@ func (a *Arena) scrub() {
 		}
 		a.stack = a.stack[:0]
 	}
-	if len(a.blocks)*nodeBlockSize > maxRetainedNodes {
-		a.blocks = nil
+	if cap(a.nodes) > maxRetainedNodes {
+		a.nodes = nil
 	} else {
-		for k := 0; k < a.highNodes; k++ {
-			a.blocks[k>>nodeBlockShift][k&nodeBlockMask] = Node{}
-		}
+		clear(a.nodes[:a.highNodes])
 	}
 	a.highNodes = 0
 	if cap(a.children) > maxRetainedSlab {
@@ -160,20 +154,15 @@ func (a *Arena) scrub() {
 	a.tree = Tree{}
 }
 
-// node returns the arena slot for node sequence number k, growing block
-// storage as needed (cold path only).
-func (a *Arena) node(k int) *Node {
-	for len(a.blocks)*nodeBlockSize <= k {
-		a.blocks = append(a.blocks, make([]Node, nodeBlockSize))
-	}
-	return &a.blocks[k>>nodeBlockShift][k&nodeBlockMask]
-}
-
-// ensureNodes grows block storage to hold n nodes.
+// ensureNodes sizes the node slab to hold exactly n nodes. A slab too small
+// is replaced outright: no pointer into it survives from an earlier parse.
 func (a *Arena) ensureNodes(n int) {
-	for len(a.blocks)*nodeBlockSize < n {
-		a.blocks = append(a.blocks, make([]Node, nodeBlockSize))
+	if cap(a.nodes) < n {
+		a.nodes = make([]Node, n)
+		a.highNodes = 0
 	}
+	a.nodes = a.nodes[:n]
+	a.highNodes = max(a.highNodes, n)
 }
 
 // capTo returns s truncated to length 0 with capacity at least n.
@@ -186,68 +175,92 @@ func capTo[T any](s []T, n int) []T {
 
 // ParseArena is ParseArenaContext with a background context and no limits.
 func ParseArena(doc string, a *Arena) *Tree {
-	t, err := ParseArenaContext(context.Background(), doc, Limits{}, a, nil)
+	return must(ParseArenaContext(context.Background(), doc, Limits{}, a, nil))
+}
+
+// must unwraps a parse that cannot fail: a background context never
+// cancels, zero Limits never trip, and no faults are armed.
+func must(t *Tree, err error) *Tree {
 	if err != nil {
-		// Unreachable: a background context never cancels, zero Limits never
-		// trip, and no faults are armed.
-		panic("tagtree: arena parse failed without limits: " + err.Error())
+		panic("tagtree: parse failed without limits: " + err.Error())
 	}
 	return t
 }
 
-// ParseArenaContext is ParseContext on the byte-level hot path: tokens,
-// nodes, and event buffers come from the arena, and a warm arena parses
-// without allocating. The result is byte-identical to ParseContext (pinned
-// by FuzzByteVsStringParse). The htmlparse/arena fault hook fires once per
-// parse, before any arena memory is touched. A nil arena falls back to
-// ParseContext.
+// ParseArenaContext is ParseContext on arena a: tokens, nodes, and event
+// buffers come from the arena, and a warm arena parses without allocating.
+// The htmlparse/arena fault hook fires once per parse, after tokenizing and
+// before the tree is built. A nil arena parses on a fresh, never-pooled one.
 func ParseArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
-	if a == nil {
-		return ParseContext(ctx, doc, lim)
+	return parseOn(ctx, doc, lim, a, faults, false)
+}
+
+// ParseXMLArenaContext is the XML counterpart of ParseArenaContext.
+func ParseXMLArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
+	return parseOn(ctx, doc, lim, a, faults, true)
+}
+
+// parseOn parses on a, or on a fresh arena when a is nil. The fresh arena's
+// tree header is copied out so the tree pins only what it references (nodes,
+// events, chunks, attributes), not the token slabs it was built from.
+func parseOn(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set, xml bool) (*Tree, error) {
+	if a != nil {
+		return a.parse(ctx, doc, lim, faults, xml)
 	}
+	t, err := newArena().parse(ctx, doc, lim, faults, xml)
+	if err != nil {
+		return nil, err
+	}
+	own := *t
+	return &own, nil
+}
+
+// parse tokenizes doc with the HTML or XML grammar, normalizes the tokens,
+// and builds the tree, all on a's slabs.
+func (a *Arena) parse(ctx context.Context, doc string, lim Limits, faults *faultinject.Set, xml bool) (*Tree, error) {
 	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	toks := a.tok.TokenizeHTML(doc)
+	var toks []htmlparse.Token
+	if xml {
+		toks = a.tok.TokenizeXML(doc)
+	} else {
+		toks = a.tok.TokenizeHTML(doc)
+	}
 	// The hook fires mid-parse — tokenizer slabs already hold this document —
 	// so chaos tests prove a panic here still repools a dirty arena.
 	if err := faults.FireCtx(ctx, "htmlparse/arena"); err != nil {
 		return nil, err
 	}
-	a.norm, a.stack = normalizeHTMLInto(toks, a.norm[:0], a.stack[:0])
+	// Normalizing adds only the missing end-tags: a quarter on top of the
+	// token count sizes a fresh arena's buffer in one allocation.
+	a.norm = capTo(a.norm, len(toks)+len(toks)/4)
+	if xml {
+		a.norm, a.stack = normalizeXMLInto(toks, a.norm, a.stack[:0])
+		return a.build(ctx, a.norm, neverVoid, lim)
+	}
+	a.norm, a.stack = normalizeHTMLInto(toks, a.norm, a.stack[:0])
 	return a.build(ctx, a.norm, htmlparse.IsVoid, lim)
-}
-
-// ParseXMLArenaContext is the XML counterpart of ParseArenaContext,
-// byte-identical to ParseXMLContext.
-func ParseXMLArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
-	if a == nil {
-		return ParseXMLContext(ctx, doc, lim)
-	}
-	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	toks := a.tok.TokenizeXML(doc)
-	if err := faults.FireCtx(ctx, "htmlparse/arena"); err != nil {
-		return nil, err
-	}
-	a.norm, a.stack = normalizeXMLInto(toks, a.norm[:0], a.stack[:0])
-	return a.build(ctx, a.norm, neverVoid, lim)
 }
 
 var neverVoid = func(string) bool { return false }
 
-// build is buildContext on arena memory: pass 0 counts nodes, per-node
-// children/chunks, and events (enforcing ctx and limits in buildContext's
-// exact order); the counts become carved sub-slices of the shared slabs; and
-// pass 1 re-walks the tokens filling everything in within capacity — zero
-// allocations once the arena is warm.
+// buildCheckEvery is how many tokens the build loop processes between
+// context checks — rare enough to stay off the profile, frequent enough
+// that cancellation lands within microseconds on real documents.
+const buildCheckEvery = 1024
+
+// build constructs the tree from an already-balanced token stream. isVoid
+// reports element names that never have end-tags (HTML's void set; always
+// false for XML, where only explicit self-closing counts). Pass 0 counts
+// nodes, per-node children/chunks, and events, honoring ctx and enforcing
+// lim's depth and node bounds as it goes, so a pathological document fails
+// fast instead of exhausting memory first; the counts become carved
+// sub-slices of the shared slabs; and pass 1 re-walks the tokens filling
+// everything in within capacity — zero allocations once the arena is warm.
 func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(string) bool, lim Limits) (*Tree, error) {
 	// Pass 0: counts. seqStack holds open node sequence numbers (root = 0);
 	// childOffs/chunkOffs get one entry per node, indexed by sequence.
@@ -312,16 +325,13 @@ func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(s
 	a.chunkOffs = append(a.chunkOffs, koff)
 
 	a.ensureNodes(nodes + 1)
-	if nodes+1 > a.highNodes {
-		a.highNodes = nodes + 1
-	}
 	a.children = capTo(a.children, coff)
 	a.chunks = capTo(a.chunks, koff)
 	a.events = capTo(a.events, events)
 
-	// Pass 1: buildContext's exact loop, filling carved windows in place.
+	// Pass 1: fill the carved windows in place.
 	t := &a.tree
-	root := a.node(0)
+	root := &a.nodes[0]
 	*root = Node{Name: "#document"}
 	root.Children = a.carveChildren(0)
 	root.Chunks = a.carveChunks(0)
@@ -339,7 +349,7 @@ func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(s
 
 		case htmlparse.StartTag:
 			seq++
-			n := a.node(seq)
+			n := &a.nodes[seq]
 			*n = Node{
 				Name:       tok.Name,
 				Attrs:      tok.Attrs,

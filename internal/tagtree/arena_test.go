@@ -82,11 +82,13 @@ const arenaTestDoc = `<!DOCTYPE html><HTML><Head><TITLE>A & B</title></head>
 </table><ul><li>one<li>two &#38; three<li><script>if (a<b) { x() }</script>
 </ul><p>end<hr></body></html>`
 
+// TestParseArenaMatchesParse diffs pooled-arena parses of a few grammar
+// corners against the reference parser (reference_test.go).
 func TestParseArenaMatchesParse(t *testing.T) {
 	a := AcquireArena()
 	defer a.Release()
 	for _, doc := range []string{arenaTestDoc, "", "plain text", "<a href='x&y'>t</a>"} {
-		ref, err := ParseContext(context.Background(), doc, Limits{})
+		ref, err := refParse(context.Background(), doc, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +106,7 @@ func TestParseXMLArenaMatchesParseXML(t *testing.T) {
 	a := AcquireArena()
 	defer a.Release()
 	doc := `<?xml version="1.0"?><Feed><Item id="1"><Name><![CDATA[x <&> y]]></Name></Item><Item/><other>text</Feed>`
-	ref, err := ParseXMLContext(context.Background(), doc, Limits{})
+	ref, err := refParseXML(context.Background(), doc, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +119,8 @@ func TestParseXMLArenaMatchesParseXML(t *testing.T) {
 	}
 }
 
-// TestParseArenaLimitsMatch pins that the arena path trips the same limit
-// errors as the reference path, in the same order.
+// TestParseArenaLimitsMatch pins that the arena parse trips the same limit
+// errors as the reference parser, in the same order.
 func TestParseArenaLimitsMatch(t *testing.T) {
 	doc := strings.Repeat("<div><span>x</span></div>", 200)
 	deep := strings.Repeat("<div>", 100)
@@ -133,7 +135,7 @@ func TestParseArenaLimitsMatch(t *testing.T) {
 		{"ok", doc, Limits{MaxNodes: 10000, MaxDepth: 100}},
 	} {
 		a := AcquireArena()
-		_, refErr := ParseContext(context.Background(), tc.doc, tc.lim)
+		_, refErr := refParse(context.Background(), tc.doc, tc.lim)
 		_, gotErr := ParseArenaContext(context.Background(), tc.doc, tc.lim, a, nil)
 		if fmt.Sprint(refErr) != fmt.Sprint(gotErr) {
 			t.Errorf("%s: reference err %v, arena err %v", tc.name, refErr, gotErr)

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// FuzzByteVsStringParse is the differential gate for the byte-level hot
-// path: for any input, the arena parse (byte tokenizer, pooled memory) must
-// produce a tree identical — shape, offsets, decoded text, attributes,
-// event stream — to the pre-change string reference, in both HTML and XML
-// modes. The seed set mixes handcrafted grammar corners with every file
+// FuzzByteVsStringParse is the differential gate for the one production
+// parser: for any input, the arena parse (byte tokenizer, pooled memory)
+// must produce a tree identical — shape, offsets, decoded text, attributes,
+// event stream — to the string reference parser in reference_test.go, in
+// both HTML and XML modes. The seed set mixes handcrafted grammar corners with every file
 // under internal/htmlparse/testdata.
 func FuzzByteVsStringParse(f *testing.F) {
 	for _, seed := range []string{
@@ -59,7 +59,7 @@ func FuzzByteVsStringParse(f *testing.F) {
 		a := AcquireArena()
 		defer a.Release()
 
-		ref, refErr := ParseContext(context.Background(), doc, Limits{})
+		ref, refErr := refParse(context.Background(), doc, Limits{})
 		got, gotErr := ParseArenaContext(context.Background(), doc, Limits{}, a, nil)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("HTML error divergence: ref %v, arena %v", refErr, gotErr)
@@ -70,7 +70,7 @@ func FuzzByteVsStringParse(f *testing.F) {
 			}
 		}
 
-		refX, refXErr := ParseXMLContext(context.Background(), doc, Limits{})
+		refX, refXErr := refParseXML(context.Background(), doc, Limits{})
 		gotX, gotXErr := ParseXMLArenaContext(context.Background(), doc, Limits{}, a, nil)
 		if (refXErr == nil) != (gotXErr == nil) {
 			t.Fatalf("XML error divergence: ref %v, arena %v", refXErr, gotXErr)

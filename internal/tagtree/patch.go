@@ -18,8 +18,7 @@ import (
 // Parse(PatchDocument(d)) and Parse(d) must produce structurally identical
 // trees (see TestPatchDocumentEquivalence).
 func PatchDocument(doc string) string {
-	tokens := htmlparse.Tokenize(doc)
-	norm := Normalize(tokens)
+	norm := Normalize(htmlparse.NewArena().TokenizeHTML(doc))
 	var b strings.Builder
 	b.Grow(len(doc) + len(doc)/8)
 	for _, tok := range norm {

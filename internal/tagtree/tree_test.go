@@ -86,7 +86,7 @@ func TestCandidatesThresholdExcludesRareTags(t *testing.T) {
 }
 
 func TestNormalizeInsertsMissingEndTags(t *testing.T) {
-	toks := htmlparse.Tokenize("<div><b>bold<i>both</div>")
+	toks := htmlparse.NewArena().TokenizeHTML("<div><b>bold<i>both</div>")
 	norm := Normalize(toks)
 	var ends []string
 	synthetic := 0
@@ -107,7 +107,7 @@ func TestNormalizeInsertsMissingEndTags(t *testing.T) {
 }
 
 func TestNormalizeDiscardsOrphanEndTags(t *testing.T) {
-	toks := htmlparse.Tokenize("</b>text</div><p>x</p>")
+	toks := htmlparse.NewArena().TokenizeHTML("</b>text</div><p>x</p>")
 	norm := Normalize(toks)
 	for _, tok := range norm {
 		if tok.Type == htmlparse.EndTag && (tok.Name == "b" || tok.Name == "div") {
@@ -117,7 +117,7 @@ func TestNormalizeDiscardsOrphanEndTags(t *testing.T) {
 }
 
 func TestNormalizeDiscardsComments(t *testing.T) {
-	toks := htmlparse.Tokenize("<p><!-- hidden -->text</p>")
+	toks := htmlparse.NewArena().TokenizeHTML("<p><!-- hidden -->text</p>")
 	norm := Normalize(toks)
 	for _, tok := range norm {
 		if tok.Type == htmlparse.Comment || tok.Type == htmlparse.Doctype {
@@ -127,8 +127,7 @@ func TestNormalizeDiscardsComments(t *testing.T) {
 }
 
 func TestNormalizeVoidElements(t *testing.T) {
-	toks := htmlparse.Tokenize("<p>a<br>b<hr>c</p>")
-	tree := FromTokens(toks)
+	tree := Parse("<p>a<br>b<hr>c</p>")
 	p := tree.Root.Find("p")
 	if p == nil {
 		t.Fatal("no p node")
@@ -139,7 +138,7 @@ func TestNormalizeVoidElements(t *testing.T) {
 }
 
 func TestNormalizeEOFClosesOpenTags(t *testing.T) {
-	toks := htmlparse.Tokenize("<html><body><b>unclosed")
+	toks := htmlparse.NewArena().TokenizeHTML("<html><body><b>unclosed")
 	norm := Normalize(toks)
 	opens, closes := 0, 0
 	for _, tok := range norm {

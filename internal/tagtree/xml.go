@@ -11,35 +11,22 @@ import (
 // void elements, no optional end-tags, and no implied closings — emptiness
 // comes only from self-closing tags. Mismatched or orphan end-tags are
 // still tolerated (discarded or implied-closed) so imperfect feeds parse.
+// Like Parse, it builds on a fresh, never-pooled arena.
 func ParseXML(doc string) *Tree {
-	tokens := htmlparse.TokenizeXML(doc)
-	return build(NormalizeXML(tokens), func(string) bool { return false })
+	return must(ParseXMLArenaContext(context.Background(), doc, Limits{}, nil, nil))
 }
 
 // ParseXMLContext is ParseXML with cancellation and resource limits, the
 // XML counterpart of ParseContext.
 func ParseXMLContext(ctx context.Context, doc string, lim Limits) (*Tree, error) {
-	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	norm := NormalizeXML(htmlparse.TokenizeXML(doc))
-	return buildContext(ctx, norm, func(string) bool { return false }, lim)
+	return ParseXMLArenaContext(ctx, doc, lim, nil, nil)
 }
 
-// NormalizeXML balances an XML token stream: comments, doctypes, and
-// processing instructions are discarded; orphan end-tags are dropped; an
-// end-tag closes any still-open elements nested inside its match; EOF
+// normalizeXMLInto balances an XML token stream into caller-provided
+// buffers, the XML counterpart of normalizeHTMLInto: comments, doctypes,
+// and processing instructions are discarded; orphan end-tags are dropped;
+// an end-tag closes any still-open elements nested inside its match; EOF
 // closes everything.
-func NormalizeXML(tokens []htmlparse.Token) []htmlparse.Token {
-	out, _ := normalizeXMLInto(tokens, make([]htmlparse.Token, 0, len(tokens)), nil)
-	return out
-}
-
-// normalizeXMLInto is NormalizeXML writing into caller-provided buffers,
-// the XML counterpart of normalizeHTMLInto.
 func normalizeXMLInto(tokens, out []htmlparse.Token, stack []string) ([]htmlparse.Token, []string) {
 	for _, tok := range tokens {
 		switch tok.Type {

@@ -92,7 +92,7 @@ func TestParseXMLUnterminatedCDATA(t *testing.T) {
 }
 
 func TestTokenizeXMLPreservesNameCase(t *testing.T) {
-	toks := htmlparse.TokenizeXML("<CamelCase attr='x'>text</CamelCase>")
+	toks := htmlparse.NewArena().TokenizeXML("<CamelCase attr='x'>text</CamelCase>")
 	if toks[0].Name != "CamelCase" || toks[2].Name != "CamelCase" {
 		t.Errorf("names = %q / %q", toks[0].Name, toks[2].Name)
 	}
@@ -102,7 +102,7 @@ func TestTokenizeXMLPreservesNameCase(t *testing.T) {
 }
 
 func TestTokenizeXMLProcessingInstruction(t *testing.T) {
-	toks := htmlparse.TokenizeXML(`<?xml version="1.0"?><r/>`)
+	toks := htmlparse.NewArena().TokenizeXML(`<?xml version="1.0"?><r/>`)
 	if toks[0].Type != htmlparse.Comment {
 		t.Errorf("PI token = %v", toks[0])
 	}
@@ -112,7 +112,7 @@ func TestTokenizeXMLProcessingInstruction(t *testing.T) {
 }
 
 func TestNormalizeXMLDiscardsOrphanEnds(t *testing.T) {
-	norm := NormalizeXML(htmlparse.TokenizeXML("</stray><a>x</a>"))
+	norm, _ := normalizeXMLInto(htmlparse.NewArena().TokenizeXML("</stray><a>x</a>"), nil, nil)
 	for _, tok := range norm {
 		if tok.Type == htmlparse.EndTag && tok.Name == "stray" {
 			t.Error("orphan end survived")
@@ -121,7 +121,7 @@ func TestNormalizeXMLDiscardsOrphanEnds(t *testing.T) {
 }
 
 func TestNormalizeXMLInsertsMissingEnds(t *testing.T) {
-	norm := NormalizeXML(htmlparse.TokenizeXML("<a><b>x</a>"))
+	norm, _ := normalizeXMLInto(htmlparse.NewArena().TokenizeXML("<a><b>x</a>"), nil, nil)
 	var names []string
 	for _, tok := range norm {
 		if tok.Type == htmlparse.EndTag {
