@@ -175,6 +175,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzByteVsStringParse$$' -fuzztime=30s ./internal/tagtree/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/ontology/
 	$(GO) test -fuzz='^FuzzDiscoverRequest$$' -fuzztime=30s ./internal/httpapi/
+	$(GO) test -fuzz='^FuzzFingerprintDoc$$' -fuzztime=30s ./internal/template/
 
 # The fault-injection chaos suite (see docs/ROBUSTNESS.md) under the race
 # detector: isolated heuristic panics, mid-batch cancellation, load

@@ -411,7 +411,7 @@ func BenchmarkTemplateHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _, ok := store.LookupDoc(paperdoc.Figure2, salt)
+		e, _, ok := store.LookupDoc(paperdoc.Figure2, salt, tagtree.Limits{})
 		if !ok || e.Separator != "hr" {
 			b.Fatalf("warm lookup: entry=%v ok=%v", e, ok)
 		}
@@ -472,7 +472,7 @@ func TestTemplateFastPathSpeedup(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		warm := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := store.LookupDoc(paperdoc.Figure2, salt); !ok {
+				if _, _, ok := store.LookupDoc(paperdoc.Figure2, salt, tagtree.Limits{}); !ok {
 					b.Fatal("warm lookup missed")
 				}
 			}

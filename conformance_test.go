@@ -414,27 +414,17 @@ func TestConformanceXML(t *testing.T) {
 // produced the bytes, and store counters prove the warm pass really took
 // the fast path rather than quietly falling back to full discovery.
 func TestTemplateFastPathConformance(t *testing.T) {
-	docs := corpus.TestDocuments()
+	names, bodies := conformanceBodies(t)
 
 	// Reference answers: a template-free, cache-free server.
 	ref := httptest.NewServer(httpapi.NewHandler(httpapi.Config{}))
 	t.Cleanup(ref.Close)
 
-	bodies := make([][]byte, len(docs))
-	for i, d := range docs {
-		b, err := json.Marshal(map[string]any{
-			"html": d.HTML, "ontology": string(d.Site.Domain),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[i] = b
-	}
-	want := make([][]byte, len(docs))
-	for i := range docs {
+	want := make([][]byte, len(bodies))
+	for i := range bodies {
 		code, body := postRaw(t, ref.URL+"/v1/discover", "application/json", bodies[i])
 		if code != http.StatusOK {
-			t.Fatalf("%s: reference status %d", docs[i].Site.Name, code)
+			t.Fatalf("%s: reference status %d", names[i], code)
 		}
 		want[i] = body
 	}
@@ -444,14 +434,14 @@ func TestTemplateFastPathConformance(t *testing.T) {
 	// template-free reference.
 	checkPasses := func(t *testing.T, url string) {
 		for _, label := range []string{"cold", "warm"} {
-			for i, d := range docs {
+			for i, name := range names {
 				code, got := postRaw(t, url+"/v1/discover", "application/json", bodies[i])
 				if code != http.StatusOK {
-					t.Fatalf("%s (%s): status %d", d.Site.Name, label, code)
+					t.Fatalf("%s (%s): status %d", name, label, code)
 				}
 				if !bytes.Equal(got, want[i]) {
 					t.Errorf("%s (%s): templated bytes differ from template-free reference:\n got %s\nwant %s",
-						d.Site.Name, label, got, want[i])
+						name, label, got, want[i])
 				}
 			}
 		}
@@ -461,13 +451,13 @@ func TestTemplateFastPathConformance(t *testing.T) {
 	// document missed once (and was learned), then hit once.
 	assertFastPath := func(t *testing.T, store *template.Store) {
 		stats := store.Stats()
-		if stats.Entries != len(docs) || stats.Stores != float64(len(docs)) {
+		if stats.Entries != len(bodies) || stats.Stores != float64(len(bodies)) {
 			t.Errorf("cold pass learned %d entries (%v stores), want %d",
-				stats.Entries, stats.Stores, len(docs))
+				stats.Entries, stats.Stores, len(bodies))
 		}
-		if stats.Misses != float64(len(docs)) || stats.Hits != float64(len(docs)) {
+		if stats.Misses != float64(len(bodies)) || stats.Hits != float64(len(bodies)) {
 			t.Errorf("store saw %v misses / %v hits, want %d / %d",
-				stats.Misses, stats.Hits, len(docs), len(docs))
+				stats.Misses, stats.Hits, len(bodies), len(bodies))
 		}
 	}
 
@@ -513,6 +503,31 @@ func (w *wireResult) String() string {
 	return string(data)
 }
 
+// singleCandidateDoc is a page whose highest-fan-out subtree has exactly one
+// candidate tag, which §3 makes the separator outright: no heuristic ranks,
+// so the answer's rankings are empty. No corpus test document has that shape.
+const singleCandidateDoc = "<html><body><div>one<hr>two<hr>three<hr>four</div></body></html>"
+
+// conformanceBodies marshals one /v1/discover body per corpus test document
+// (with its domain ontology) and then one for singleCandidateDoc, each with
+// a label for failure messages.
+func conformanceBodies(t *testing.T) (names []string, bodies [][]byte) {
+	t.Helper()
+	add := func(name string, req map[string]any) {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+		bodies = append(bodies, b)
+	}
+	for _, d := range corpus.TestDocuments() {
+		add(d.Site.Name, map[string]any{"html": d.HTML, "ontology": string(d.Site.Domain)})
+	}
+	add("single-candidate", map[string]any{"html": singleCandidateDoc})
+	return names, bodies
+}
+
 // newClusterServer serves a consistent-hash router over the given replicas.
 func newClusterServer(t *testing.T, peers []cluster.Peer) *httptest.Server {
 	t.Helper()
@@ -551,7 +566,7 @@ func postRaw(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 // hit), batch, and stream surfaces. The cluster being routed, hashed, and
 // hedge-capable must be invisible in the bytes.
 func TestClusterConformance(t *testing.T) {
-	docs := corpus.TestDocuments()
+	names, bodies := conformanceBodies(t)
 	single := conformanceServer(t)
 
 	topologies := map[string]func(t *testing.T) *httptest.Server{
@@ -574,16 +589,17 @@ func TestClusterConformance(t *testing.T) {
 		},
 	}
 
-	// One marshaling of every request, shared by both sides of each diff.
-	bodies := make([][]byte, len(docs))
-	for i, d := range docs {
-		b, err := json.Marshal(map[string]any{
-			"html": d.HTML, "ontology": string(d.Site.Domain),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[i] = b
+	// The single node's answer to the single-candidate page carries an
+	// empty rankings object; its stream line leaves rankings off. Every
+	// cluster surface below must reproduce both.
+	last := bodies[len(bodies)-1]
+	if code, body := postRaw(t, single.URL+"/v1/discover", "application/json", last); code != http.StatusOK ||
+		!bytes.Contains(body, []byte(`"rankings": {}`)) {
+		t.Errorf("single-candidate /v1/discover: status %d, want 200 with empty rankings: %s", code, body)
+	}
+	if code, line := postRaw(t, single.URL+"/v1/discover/stream", "application/x-ndjson", append(last, '\n')); code != http.StatusOK ||
+		!bytes.Contains(line, []byte(`"separator":"hr"`)) || bytes.Contains(line, []byte(`"rankings"`)) {
+		t.Errorf("single-candidate stream line: status %d, want 200 without rankings: %s", code, line)
 	}
 
 	for name, build := range topologies {
@@ -592,16 +608,16 @@ func TestClusterConformance(t *testing.T) {
 
 			t.Run("DiscoverMissAndHit", func(t *testing.T) {
 				for _, label := range []string{"miss", "hit"} {
-					for i, d := range docs {
+					for i, docName := range names {
 						wantCode, want := postRaw(t, single.URL+"/v1/discover", "application/json", bodies[i])
 						gotCode, got := postRaw(t, srv.URL+"/v1/discover", "application/json", bodies[i])
 						if gotCode != wantCode {
 							t.Fatalf("%s (%s): cluster status %d, single node %d",
-								d.Site.Name, label, gotCode, wantCode)
+								docName, label, gotCode, wantCode)
 						}
 						if !bytes.Equal(got, want) {
 							t.Errorf("%s (%s): cluster bytes differ from single node:\n got %s\nwant %s",
-								d.Site.Name, label, got, want)
+								docName, label, got, want)
 						}
 					}
 				}
@@ -609,8 +625,8 @@ func TestClusterConformance(t *testing.T) {
 
 			t.Run("Batch", func(t *testing.T) {
 				var documents []json.RawMessage
-				for i := range docs {
-					documents = append(documents, bodies[i])
+				for _, b := range bodies {
+					documents = append(documents, b)
 				}
 				batch, err := json.Marshal(map[string]any{"documents": documents})
 				if err != nil {
@@ -628,8 +644,8 @@ func TestClusterConformance(t *testing.T) {
 
 			t.Run("Stream", func(t *testing.T) {
 				var in bytes.Buffer
-				for i := range docs {
-					in.Write(bodies[i])
+				for _, b := range bodies {
+					in.Write(b)
 					in.WriteByte('\n')
 				}
 				wantCode, want := postRaw(t, single.URL+"/v1/discover/stream", "application/x-ndjson", in.Bytes())

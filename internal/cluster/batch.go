@@ -10,13 +10,14 @@ import (
 	"sync"
 
 	"repro/internal/httpapi"
+	"repro/internal/wire"
 )
 
 // batchEnvelope is decoded strictly (unknown fields rejected) purely to
 // replicate the single node's validation wording; the documents themselves
 // travel on as raw bytes.
 type batchEnvelope struct {
-	Documents []discoverEnvelope `json:"documents"`
+	Documents []wire.Request `json:"documents"`
 }
 
 // rawBatch re-decodes the same body for forwarding: each document's original
@@ -52,21 +53,21 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	dec.DisallowUnknownFields()
 	var env batchEnvelope
 	if err := dec.Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if len(env.Documents) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("documents must be non-empty"))
+		httpapi.WriteError(w, http.StatusBadRequest, errors.New("documents must be non-empty"))
 		return
 	}
 	if len(env.Documents) > httpapi.MaxBatchDocuments {
-		writeErr(w, http.StatusBadRequest,
+		httpapi.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("batch has %d documents, limit is %d", len(env.Documents), httpapi.MaxBatchDocuments))
 		return
 	}
 	var raw rawBatch
 	if err := json.Unmarshal(body, &raw); err != nil || len(raw.Documents) != len(env.Documents) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
 		return
 	}
 
@@ -117,7 +118,7 @@ dispatch:
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": items})
 }
 
 // batchDocument routes one document and converts the peer's answer into the
@@ -131,7 +132,7 @@ func (r *Router) batchDocument(ctx context.Context, seq int, doc json.RawMessage
 	if status == http.StatusOK {
 		return json.RawMessage(resp)
 	}
-	var peerErr errorBody
+	var peerErr wire.ErrorBody
 	if jsonErr := json.Unmarshal(resp, &peerErr); jsonErr != nil || peerErr.Error == "" {
 		peerErr.Error = fmt.Sprintf("peer answered status %d", status)
 	}

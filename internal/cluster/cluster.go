@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/httpapi"
 	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -428,7 +429,7 @@ func (r *Router) Close() {
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	healthy := r.healthyCount()
 	if healthy == 0 {
-		writeErr(w, http.StatusServiceUnavailable,
+		httpapi.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("cluster: all %d peers are ejected", len(r.snapshot().peers)))
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/paperdoc"
+	"repro/internal/wire"
 )
 
 // newTestRouter builds an n-replica in-process cluster. mutate, when non-nil,
@@ -51,7 +52,7 @@ func postRouter(t *testing.T, h http.Handler, path, body string) *httptest.Respo
 
 func discoverBody(suffix string) string {
 	doc := paperdoc.Figure2 + suffix
-	b := mustMarshal(discoverEnvelope{HTML: doc, Ontology: "obituary"})
+	b := mustMarshal(wire.Request{HTML: doc, Ontology: "obituary"})
 	return string(b)
 }
 

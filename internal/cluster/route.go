@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // fingerprint is the routing key — the same sha256 the replicas use as their
@@ -27,31 +28,18 @@ var (
 	errNoPeers = errors.New("cluster: no healthy peers in the rotation")
 )
 
-// discoverEnvelope mirrors the single-node request envelope field-for-field;
-// the router decodes it only to derive the routing key and to replicate
-// validation, never to re-serialize — request bytes are forwarded verbatim.
-type discoverEnvelope struct {
-	HTML          string   `json:"html,omitempty"`
-	XML           string   `json:"xml,omitempty"`
-	Ontology      string   `json:"ontology,omitempty"`
-	SeparatorList []string `json:"separator_list,omitempty"`
-}
-
 // routingKey derives the consistent-hash key for one discover request body.
 // A well-formed request hashes exactly like the replica's cache key; a
 // malformed one (the replica will answer 400) hashes its raw bytes — any
 // stable route is fine for an error.
 func routingKey(body []byte) fingerprint {
-	var env discoverEnvelope
-	if err := json.Unmarshal(body, &env); err != nil ||
-		(env.HTML == "") == (env.XML == "") {
-		return sha256.Sum256(body)
+	var env wire.Request
+	if json.Unmarshal(body, &env) == nil {
+		if mode, doc, err := env.Document(); err == nil {
+			return httpapi.RequestFingerprint(mode, doc, env.Ontology, env.SeparatorList)
+		}
 	}
-	mode, doc := "html", env.HTML
-	if env.XML != "" {
-		mode, doc = "xml", env.XML
-	}
-	return httpapi.RequestFingerprint(mode, doc, env.Ontology, env.SeparatorList)
+	return sha256.Sum256(body)
 }
 
 // preference returns peer indices (into v.peers) in routing order for key:
@@ -373,11 +361,11 @@ func (r *Router) handleDiscover(w http.ResponseWriter, req *http.Request) {
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, httpapi.MaxBodyBytes+1))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return nil, false
 	}
 	if len(body) > httpapi.MaxBodyBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge,
+		httpapi.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds the %d-byte limit", httpapi.MaxBodyBytes))
 		return nil, false
 	}
@@ -391,33 +379,14 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// errorBody matches the single-node uniform error response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON mirrors the single-node encoder (two-space indent) so
-// router-originated bodies render like every other body in the system.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
 // writeRouteErr maps a routing failure to its edge status: saturation is
 // 429 + Retry-After (the load-shedding contract), everything else — no
 // healthy peers, all attempts failed, canceled — is 503.
 func writeRouteErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, errBusy) {
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, err)
+		httpapi.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	writeErr(w, http.StatusServiceUnavailable, err)
+	httpapi.WriteError(w, http.StatusServiceUnavailable, err)
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/pipeline"
+	"repro/internal/wire"
 )
 
 // handleStream is the routed bulk surface: the NDJSON task stream is parsed
@@ -126,22 +127,6 @@ func (r *Router) runStream(ctx context.Context, src pipeline.Source, sink pipeli
 	}
 }
 
-// peerDiscoverResponse decodes a replica's /v1/discover answer for
-// repackaging into the bulk outcome envelope. Numbers round-trip exactly
-// (float64 in, shortest-form float64 out, the same encoding the replica
-// used) and map keys re-sort identically, so the re-marshaled line matches
-// what the local engine would have written.
-type peerDiscoverResponse struct {
-	Separator        string                          `json:"separator"`
-	TopTags          []string                        `json:"top_tags"`
-	Scores           []pipeline.Score                `json:"scores"`
-	Rankings         map[string][]pipeline.RankEntry `json:"rankings"`
-	Candidates       []pipeline.Candidate            `json:"candidates"`
-	Subtree          string                          `json:"subtree"`
-	Degraded         bool                            `json:"degraded"`
-	FailedHeuristics []string                        `json:"failed_heuristics"`
-}
-
 // streamOutcome turns one task into one outcome, replicating the engine's
 // per-task validation (invalid lines and unknown modes fail inline with the
 // same wording) and otherwise routing the document to its replica.
@@ -156,7 +141,7 @@ func (r *Router) streamOutcome(ctx context.Context, t *pipeline.Task) *pipeline.
 		return o
 	}
 
-	env := discoverEnvelope{Ontology: t.Ontology, SeparatorList: t.SeparatorList}
+	env := wire.Request{Ontology: t.Ontology, SeparatorList: t.SeparatorList}
 	if t.Mode == "xml" {
 		env.XML = t.Doc
 	} else {
@@ -173,27 +158,21 @@ func (r *Router) streamOutcome(ctx context.Context, t *pipeline.Task) *pipeline.
 	case err != nil:
 		o.Error = err.Error()
 	case status != http.StatusOK:
-		var peerErr errorBody
+		var peerErr wire.ErrorBody
 		if jsonErr := json.Unmarshal(resp, &peerErr); jsonErr != nil || peerErr.Error == "" {
 			peerErr.Error = fmt.Sprintf("peer answered status %d", status)
 		}
 		o.Error = peerErr.Error
 	default:
-		var res peerDiscoverResponse
+		// Numbers round-trip exactly (float64 in, shortest-form float64
+		// out, the encoding the replica used) and map keys re-sort
+		// identically, so the line matches what the local engine writes.
+		var res wire.Answer
 		if jsonErr := json.Unmarshal(resp, &res); jsonErr != nil {
 			o.Error = fmt.Sprintf("cluster: undecodable peer response: %v", jsonErr)
 			break
 		}
-		o.Separator = res.Separator
-		o.TopTags = res.TopTags
-		o.Scores = res.Scores
-		if len(res.Rankings) > 0 {
-			o.Rankings = res.Rankings
-		}
-		o.Candidates = res.Candidates
-		o.Subtree = res.Subtree
-		o.Degraded = res.Degraded
-		o.FailedHeuristics = res.FailedHeuristics
+		o.SetAnswer(res)
 	}
 	return o
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/tagtree"
 	"repro/internal/template"
+	"repro/internal/wire"
 )
 
 // Options configure discovery. The zero value gives the paper's published
@@ -407,61 +409,54 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	return res, nil
 }
 
-// templateLearn stores a freshly-discovered answer in the wrapper store and
-// settles a pending spot-check: a stored answer matching the fresh one is
-// healthy; a divergent one is drift — evicted, then overwritten by the fresh
-// answer. Degraded results are never stored (the answer came from surviving
-// heuristics only, mirroring the result cache's completeness rule).
+// templateLearn hands a freshly-discovered answer to the wrapper store,
+// which stores it and settles a pending spot-check (template.Store.Learn).
 func (o Options) templateLearn(key template.Key, spot *template.Entry, res *Result) {
-	if o.Templates == nil || res.Degraded {
-		return
+	if o.Templates != nil {
+		o.Templates.Learn(spot, NewTemplateEntry(key, res))
 	}
-	e := NewTemplateEntry(key, res)
-	if spot != nil {
-		if spot.Equal(e) {
-			o.Templates.ReportSpotCheck("ok")
-		} else {
-			o.Templates.ReportSpotCheck("divergent")
-			o.Templates.ReportDrift(key, "divergent")
-		}
-	}
-	o.Templates.Put(e)
 }
 
-// NewTemplateEntry snapshots a clean discovery result as a wrapper-store
-// entry under key. The entry holds every field needed to rebuild a Result
-// (and hence a wire response) byte-identical to res on any same-shaped tree.
+// Answer is the result's wire form — the one conversion from a Result to
+// the answer every surface encodes (HTTP bodies, bulk lines, wrapper-store
+// entries). Rankings is never nil.
+func (r *Result) Answer() wire.Answer {
+	a := wire.Answer{
+		Separator:        r.Separator,
+		TopTags:          r.TopTags,
+		Scores:           make([]wire.Score, len(r.Scores)),
+		Rankings:         make(map[string][]wire.Rank, len(r.Rankings)),
+		Candidates:       make([]wire.Candidate, len(r.Candidates)),
+		Subtree:          r.Subtree.Name,
+		Degraded:         r.Degraded,
+		FailedHeuristics: r.FailedHeuristics,
+	}
+	for i, s := range r.Scores {
+		a.Scores[i] = wire.Score{Tag: s.Tag, CF: s.CF}
+	}
+	for name, ranking := range r.Rankings {
+		rows := make([]wire.Rank, len(ranking))
+		for i, e := range ranking {
+			rows[i] = wire.Rank{Tag: e.Tag, Rank: e.Rank}
+		}
+		a.Rankings[name] = rows
+	}
+	for i, c := range r.Candidates {
+		a.Candidates[i] = wire.Candidate{Tag: c.Name, Count: c.Count}
+	}
+	return a
+}
+
+// NewTemplateEntry snapshots a discovery result as a wrapper-store entry
+// under key. The entry holds every field needed to rebuild a Result (and
+// hence a wire response) byte-identical to res on any same-shaped tree.
 func NewTemplateEntry(key template.Key, res *Result) *template.Entry {
-	e := &template.Entry{
+	return &template.Entry{
 		Key:       key.String(),
-		Separator: res.Separator,
-		TopTags:   append([]string(nil), res.TopTags...),
-		Subtree:   res.Subtree.Name,
+		Answer:    res.Answer(),
+		Reasons:   maps.Clone(res.HeuristicReasons),
 		Certainty: res.Scores[0].CF,
 	}
-	for _, s := range res.Scores {
-		e.Scores = append(e.Scores, template.Score{Tag: s.Tag, CF: s.CF})
-	}
-	if len(res.Rankings) > 0 {
-		e.Rankings = make(map[string][]template.RankEntry, len(res.Rankings))
-		for name, r := range res.Rankings {
-			rows := make([]template.RankEntry, len(r))
-			for i, row := range r {
-				rows[i] = template.RankEntry{Tag: row.Tag, Rank: row.Rank}
-			}
-			e.Rankings[name] = rows
-		}
-	}
-	for _, c := range res.Candidates {
-		e.Candidates = append(e.Candidates, template.Candidate{Tag: c.Name, Count: c.Count})
-	}
-	if len(res.HeuristicReasons) > 0 {
-		e.Reasons = make(map[string]string, len(res.HeuristicReasons))
-		for k, v := range res.HeuristicReasons {
-			e.Reasons[k] = v
-		}
-	}
-	return e
 }
 
 // resultFromEntry rebuilds a Result from a stored wrapper entry. tree and
@@ -471,14 +466,17 @@ func NewTemplateEntry(key template.Key, res *Result) *template.Entry {
 // Rankings have Score zero.
 func resultFromEntry(e *template.Entry, tree *tagtree.Tree, hfo *tagtree.Node) *Result {
 	res := &Result{
-		Separator: e.Separator,
-		TopTags:   append([]string(nil), e.TopTags...),
-		Rankings:  make(map[string]heuristic.Ranking, len(e.Rankings)),
-		Subtree:   hfo,
-		Tree:      tree,
+		Separator:        e.Separator,
+		TopTags:          e.TopTags,
+		Scores:           make([]certainty.Score, len(e.Scores)),
+		Rankings:         make(map[string]heuristic.Ranking, len(e.Rankings)),
+		Candidates:       make([]tagtree.Candidate, len(e.Candidates)),
+		Subtree:          hfo,
+		Tree:             tree,
+		HeuristicReasons: e.Reasons,
 	}
-	for _, s := range e.Scores {
-		res.Scores = append(res.Scores, certainty.Score{Tag: s.Tag, CF: s.CF})
+	for i, s := range e.Scores {
+		res.Scores[i] = certainty.Score{Tag: s.Tag, CF: s.CF}
 	}
 	for name, rows := range e.Rankings {
 		r := make(heuristic.Ranking, len(rows))
@@ -487,14 +485,8 @@ func resultFromEntry(e *template.Entry, tree *tagtree.Tree, hfo *tagtree.Node) *
 		}
 		res.Rankings[name] = r
 	}
-	for _, c := range e.Candidates {
-		res.Candidates = append(res.Candidates, tagtree.Candidate{Name: c.Tag, Count: c.Count})
-	}
-	if len(e.Reasons) > 0 {
-		res.HeuristicReasons = make(map[string]string, len(e.Reasons))
-		for k, v := range e.Reasons {
-			res.HeuristicReasons[k] = v
-		}
+	for i, c := range e.Candidates {
+		res.Candidates[i] = tagtree.Candidate{Name: c.Tag, Count: c.Count}
 	}
 	return res
 }

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // MaxBatchDocuments bounds one batch request. The body-size limit already
@@ -17,7 +19,7 @@ const MaxBatchDocuments = 256
 // batchRequest is the /v1/discover/batch envelope: each document is a full
 // discover request, so per-document ontologies and separator lists work.
 type batchRequest struct {
-	Documents []request `json:"documents"`
+	Documents []wire.Request `json:"documents"`
 }
 
 // batchItem is one per-document outcome, in input order. Exactly one of the
@@ -56,11 +58,11 @@ func (s server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Documents) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("documents must be non-empty"))
+		WriteError(w, http.StatusBadRequest, errors.New("documents must be non-empty"))
 		return
 	}
 	if len(req.Documents) > MaxBatchDocuments {
-		writeErr(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("batch has %d documents, limit is %d", len(req.Documents), MaxBatchDocuments))
 		return
 	}
@@ -133,5 +135,5 @@ dispatch:
 			"Documents processed by the batch endpoint, by outcome.",
 			"outcome", outcome).Inc()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	WriteJSON(w, http.StatusOK, map[string]any{"results": items})
 }

@@ -28,7 +28,7 @@ func registerClusterRoutes(mux *http.ServeMux, s server) {
 
 func (s server) handleGossip(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Membership == nil {
-		writeErr(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			errors.New("this node runs without cluster membership"))
 		return
 	}
@@ -36,16 +36,16 @@ func (s server) handleGossip(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &msg) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Membership.ReceiveGossip(msg))
+	WriteJSON(w, http.StatusOK, s.cfg.Membership.ReceiveGossip(msg))
 }
 
 func (s server) handleMembers(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Membership == nil {
-		writeErr(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			errors.New("this node runs without cluster membership"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"digest":  s.cfg.Membership.Digest(),
 		"members": s.cfg.Membership.Members(),
 		"serving": s.cfg.Membership.Serving(),

@@ -13,18 +13,21 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/membership"
 	"repro/internal/template"
+	"repro/internal/wire"
 )
 
 func templateTestEntry(t *testing.T, doc string) *template.Entry {
 	t.Helper()
 	key := template.MakeKey(template.FingerprintDoc(doc), template.Salt("html", "", nil))
 	return &template.Entry{
-		Key:       key.String(),
-		Separator: "hr",
-		TopTags:   []string{"hr"},
-		Scores:    []template.Score{{Tag: "hr", CF: 0.95}},
-		Rankings:  map[string][]template.RankEntry{"OM": {{Tag: "hr", Rank: 1}}},
-		Subtree:   "body",
+		Key: key.String(),
+		Answer: wire.Answer{
+			Separator: "hr",
+			TopTags:   []string{"hr"},
+			Scores:    []wire.Score{{Tag: "hr", CF: 0.95}},
+			Rankings:  map[string][]wire.Rank{"OM": {{Tag: "hr", Rank: 1}}},
+			Subtree:   "body",
+		},
 		Certainty: 0.95,
 	}
 }

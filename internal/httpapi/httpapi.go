@@ -41,6 +41,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/tagtree"
 	"repro/internal/template"
+	"repro/internal/wire"
 )
 
 // MaxBodyBytes bounds request bodies; 1998-era pages were tens of
@@ -196,7 +197,7 @@ func (s server) limit(next http.Handler) http.Handler {
 				s.cfg.Metrics.Counter("boundary_requests_shed_total",
 					"Requests rejected with 429 because the in-flight limit was saturated.").Inc()
 				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusTooManyRequests,
+				WriteError(w, http.StatusTooManyRequests,
 					fmt.Errorf("server is at its in-flight limit of %d requests; retry shortly", cap(s.inflight)))
 				return
 			}
@@ -250,26 +251,10 @@ func (s server) pipelineOptions(ctx context.Context, ont *ontology.Ontology, sep
 	}
 }
 
-// request is the shared request envelope.
-type request struct {
-	// HTML is the document to process; XML is its XML-mode alternative
-	// (exactly one must be set for discover; records/extract/classify are
-	// HTML-only).
-	HTML string `json:"html,omitempty"`
-	XML  string `json:"xml,omitempty"`
-	// Ontology is a built-in name ("obituary", "carad", "jobad", "course")
-	// or full DSL source (detected by the presence of a newline).
-	Ontology string `json:"ontology,omitempty"`
-	// SeparatorList optionally overrides IT's identifiable-separator list.
-	SeparatorList []string `json:"separator_list,omitempty"`
-}
-
-// errorBody is the uniform error response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the service's JSON body encoding (two-space
+// indent) with the given status. The cluster router writes its own bodies
+// through it too, so every JSON response renders alike.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -277,8 +262,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // headers already sent; nothing useful to do on error
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+// WriteError writes the uniform error body with the given status.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, wire.ErrorBody{Error: err.Error()})
 }
 
 // decodeJSON parses a JSON body into v with the body limit applied,
@@ -290,97 +276,30 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := dec.Decode(v); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds the %d-byte limit", maxErr.Limit))
 			return false
 		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
 // decode parses the shared request envelope.
-func decode(w http.ResponseWriter, r *http.Request) (*request, bool) {
-	var req request
+func decode(w http.ResponseWriter, r *http.Request) (*wire.Request, bool) {
+	var req wire.Request
 	if !decodeJSON(w, r, &req) {
 		return nil, false
 	}
 	return &req, true
 }
 
-// resolveOntology turns the envelope's ontology field into a parsed
-// ontology; empty means nil (OM declines).
-func (req *request) resolveOntology() (*ontology.Ontology, error) {
-	if req.Ontology == "" {
-		return nil, nil
-	}
-	if ont := ontology.Builtin(req.Ontology); ont != nil {
-		return ont, nil
-	}
-	ont, err := ontology.Parse(req.Ontology)
-	if err != nil {
-		return nil, fmt.Errorf("ontology is neither built-in (%v) nor valid DSL: %w",
-			ontology.BuiltinNames(), err)
-	}
-	return ont, nil
-}
-
-// discoverResponse mirrors core.Result in wire-friendly form.
+// discoverResponse is the /v1/discover body: the discovery answer, plus the
+// certainty evidence when the request asked for it with ?explain=1.
 type discoverResponse struct {
-	Separator  string               `json:"separator"`
-	TopTags    []string             `json:"top_tags"`
-	Scores     []scoreBody          `json:"scores"`
-	Rankings   map[string][]rankRow `json:"rankings"`
-	Candidates []candidateBody      `json:"candidates"`
-	Subtree    string               `json:"subtree"`
-	// Degraded and FailedHeuristics surface isolated heuristic failures:
-	// the answer was computed from the surviving heuristics only.
-	Degraded         bool     `json:"degraded,omitempty"`
-	FailedHeuristics []string `json:"failed_heuristics,omitempty"`
-	// Explain carries per-heuristic certainty evidence; present only when
-	// the request asked for it with ?explain=1.
+	wire.Answer
 	Explain *core.Explanation `json:"explain,omitempty"`
-}
-
-type scoreBody struct {
-	Tag string  `json:"tag"`
-	CF  float64 `json:"cf"`
-}
-
-type rankRow struct {
-	Tag  string `json:"tag"`
-	Rank int    `json:"rank"`
-}
-
-type candidateBody struct {
-	Tag   string `json:"tag"`
-	Count int    `json:"count"`
-}
-
-func toDiscoverResponse(res *core.Result) *discoverResponse {
-	out := &discoverResponse{
-		Separator:        res.Separator,
-		TopTags:          res.TopTags,
-		Subtree:          res.Subtree.Name,
-		Rankings:         map[string][]rankRow{},
-		Degraded:         res.Degraded,
-		FailedHeuristics: res.FailedHeuristics,
-	}
-	for _, s := range res.Scores {
-		out.Scores = append(out.Scores, scoreBody{Tag: s.Tag, CF: s.CF})
-	}
-	for name, ranking := range res.Rankings {
-		rows := make([]rankRow, 0, len(ranking))
-		for _, e := range ranking {
-			rows = append(rows, rankRow{Tag: e.Tag, Rank: e.Rank})
-		}
-		out.Rankings[name] = rows
-	}
-	for _, c := range res.Candidates {
-		out.Candidates = append(out.Candidates, candidateBody{Tag: c.Name, Count: c.Count})
-	}
-	return out
 }
 
 // apiError pairs a client-visible error with the HTTP status it maps to.
@@ -424,14 +343,10 @@ func pipelineError(err error) *apiError {
 // one leader computes while followers wait on its result (see
 // resultCache.join), so a thundering herd for a hot document costs one
 // pipeline run instead of N.
-func (s server) discoverOne(ctx context.Context, req *request) (*discoverResponse, *apiError) {
-	if (req.HTML == "") == (req.XML == "") {
-		return nil, &apiError{http.StatusBadRequest,
-			errors.New("exactly one of html or xml is required")}
-	}
-	mode, doc := "html", req.HTML
-	if req.XML != "" {
-		mode, doc = "xml", req.XML
+func (s server) discoverOne(ctx context.Context, req *wire.Request) (*discoverResponse, *apiError) {
+	mode, doc, err := req.Document()
+	if err != nil {
+		return nil, &apiError{http.StatusBadRequest, err}
 	}
 	if s.cache == nil {
 		return s.computeDiscover(ctx, mode, doc, req)
@@ -471,7 +386,7 @@ func (s server) discoverOne(ctx context.Context, req *request) (*discoverRespons
 // that skips parsing and heuristics entirely on a hit (see docs/WRAPPER.md);
 // XML documents use the tree-level fast path inside core instead, because
 // the raw-document scanner speaks only HTML's grammar.
-func (s server) computeDiscover(ctx context.Context, mode, doc string, req *request) (*discoverResponse, *apiError) {
+func (s server) computeDiscover(ctx context.Context, mode, doc string, req *wire.Request) (*discoverResponse, *apiError) {
 	if s.cfg.Templates != nil && mode == "html" {
 		return s.computeDiscoverTemplated(ctx, doc, req)
 	}
@@ -481,26 +396,27 @@ func (s server) computeDiscover(ctx context.Context, mode, doc string, req *requ
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	return toDiscoverResponse(res), nil
+	return &discoverResponse{Answer: res.Answer()}, nil
 }
 
 // computeDiscoverTemplated is the document-level template fast path for HTML
 // discover: fingerprint the raw bytes, serve a store hit without ever
-// building the tag tree, and learn the full-pipeline answer on a miss. The
-// occasional hit is spot-checked — full discovery runs anyway and divergence
-// evicts and relearns the entry — so a drifted wrapper cannot serve stale
-// answers forever. runDiscover is called with the core-level fast path
-// disabled: the lookup already happened here, and double-counting misses (or
-// re-hitting the entry this request is about to verify) would corrupt both
-// the metrics and the spot-check.
-func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *request) (*discoverResponse, *apiError) {
+// building the tag tree, and learn the full-pipeline answer on a miss. A
+// document outside Config.Limits never hits, so it fails in full discovery
+// exactly as on a cold server. The occasional hit is spot-checked — full
+// discovery runs anyway and divergence evicts and relearns the entry — so a
+// drifted wrapper cannot serve stale answers forever. runDiscover is called
+// with the core-level fast path disabled: the lookup already happened here,
+// and double-counting misses (or re-hitting the entry this request is about
+// to verify) would corrupt both the metrics and the spot-check.
+func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *wire.Request) (*discoverResponse, *apiError) {
 	store := s.cfg.Templates
 	start := time.Now()
-	e, key, ok := store.LookupDoc(doc, template.Salt("html", req.Ontology, req.SeparatorList))
+	e, key, ok := store.LookupDoc(doc, template.Salt("html", req.Ontology, req.SeparatorList), s.cfg.Limits)
 	if ok && !store.SpotCheck() {
 		obs.TraceFrom(ctx).Add("template/hit", time.Since(start),
 			"separator", e.Separator, "key", e.Key)
-		return responseFromEntry(e), nil
+		return &discoverResponse{Answer: e.Answer}, nil
 	}
 	arena := tagtree.AcquireArena()
 	defer arena.Release()
@@ -508,21 +424,9 @@ func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *r
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	// Degraded answers are never learned: the result came from surviving
-	// heuristics only (same completeness rule as the result cache).
-	if !res.Degraded {
-		fresh := core.NewTemplateEntry(key, res)
-		if ok { // this was a spot-checked hit
-			if e.Equal(fresh) {
-				store.ReportSpotCheck("ok")
-			} else {
-				store.ReportSpotCheck("divergent")
-				store.ReportDrift(key, "divergent")
-			}
-		}
-		_ = store.Put(fresh)
-	}
-	return toDiscoverResponse(res), nil
+	// e is the spot-checked entry on a hit, nil on a miss.
+	store.Learn(e, core.NewTemplateEntry(key, res))
+	return &discoverResponse{Answer: res.Answer()}, nil
 }
 
 // runDiscover runs the full pipeline and also returns the options it ran
@@ -534,13 +438,13 @@ func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *r
 // parse memory; the caller owns its lifetime and must not release
 // it until it is done with the returned Result (which retains arena-owned
 // tree nodes — see docs/PERFORMANCE.md).
-func (s server) runDiscover(ctx context.Context, mode, doc string, req *request, templated bool, arena *tagtree.Arena) (*core.Result, core.Options, *apiError) {
+func (s server) runDiscover(ctx context.Context, mode, doc string, req *wire.Request, templated bool, arena *tagtree.Arena) (*core.Result, core.Options, *apiError) {
 	if s.cfg.Faults != nil {
 		if err := s.cfg.Faults.FireCtx(ctx, "httpapi/discover"); err != nil {
 			return nil, core.Options{}, pipelineError(err)
 		}
 	}
-	ont, err := req.resolveOntology()
+	ont, err := ontology.Resolve(req.Ontology)
 	if err != nil {
 		return nil, core.Options{}, &apiError{http.StatusBadRequest, err}
 	}
@@ -583,10 +487,10 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, apiErr := s.discoverOne(r.Context(), req)
 	if apiErr != nil {
-		writeErr(w, apiErr.status, apiErr.err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleDiscoverExplain is /v1/discover?explain=1: the same discovery, with
@@ -595,15 +499,11 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 // cache and the in-flight dedup on purpose — the plain path must stay
 // byte-identical across cluster and single-node serving, and an explain
 // response cached for a plain request (or vice versa) would break that.
-func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, req *request) {
-	if (req.HTML == "") == (req.XML == "") {
-		writeErr(w, http.StatusBadRequest,
-			errors.New("exactly one of html or xml is required"))
+func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, req *wire.Request) {
+	mode, doc, err := req.Document()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
-	}
-	mode, doc := "html", req.HTML
-	if req.XML != "" {
-		mode, doc = "xml", req.XML
 	}
 	// templated=false: an explanation must come from the real heuristics,
 	// never from a stored wrapper.
@@ -611,13 +511,12 @@ func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, re
 	defer arena.Release()
 	res, opts, apiErr := s.runDiscover(r.Context(), mode, doc, req, false, arena)
 	if apiErr != nil {
-		writeErr(w, apiErr.status, apiErr.err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
-	resp := toDiscoverResponse(res)
-	resp.Explain = core.NewExplanation(res, opts)
+	resp := &discoverResponse{Answer: res.Answer(), Explain: core.NewExplanation(res, opts)}
 	obs.TraceFrom(r.Context()).Add("explain", 0, resp.Explain.TraceAttrs()...)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // recordBody is one split record on the wire.
@@ -633,12 +532,12 @@ func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.HTML == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("html is required"))
+		WriteError(w, http.StatusBadRequest, errors.New("html is required"))
 		return
 	}
-	ont, err := req.resolveOntology()
+	ont, err := ontology.Resolve(req.Ontology)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ropts := s.pipelineOptions(r.Context(), ont, req.SeparatorList)
@@ -649,14 +548,14 @@ func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	res, err := core.DiscoverContext(r.Context(), req.HTML, ropts)
 	if err != nil {
 		apiErr := pipelineError(err)
-		writeErr(w, apiErr.status, apiErr.err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
 	var records []recordBody
 	for _, rec := range core.Split(req.HTML, res) {
 		records = append(records, recordBody{Text: rec.Text, Start: rec.Start, End: rec.End})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"separator": res.Separator,
 		"records":   records,
 	})
@@ -668,16 +567,16 @@ func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.HTML == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("html is required"))
+		WriteError(w, http.StatusBadRequest, errors.New("html is required"))
 		return
 	}
 	if req.Ontology == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("ontology is required for extraction"))
+		WriteError(w, http.StatusBadRequest, errors.New("ontology is required for extraction"))
 		return
 	}
-	ont, err := req.resolveOntology()
+	ont, err := ontology.Resolve(req.Ontology)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	xopts := s.pipelineOptions(r.Context(), ont, nil)
@@ -688,15 +587,15 @@ func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	res, err := core.DiscoverContext(r.Context(), req.HTML, xopts)
 	if err != nil {
 		apiErr := pipelineError(err)
-		writeErr(w, apiErr.status, apiErr.err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
 	db, err := dbgen.Populate(ont, res)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"separator": res.Separator,
 		"database":  db,
 	})
@@ -708,20 +607,20 @@ func (s server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.HTML == "" || req.Ontology == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("html and ontology are required"))
+		WriteError(w, http.StatusBadRequest, errors.New("html and ontology are required"))
 		return
 	}
-	ont, err := req.resolveOntology()
+	ont, err := ontology.Resolve(req.Ontology)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	res, err := classify.Classify(req.HTML, ont)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"kind":         res.Kind.String(),
 		"estimate":     res.Estimate,
 		"field_counts": res.FieldCounts,
@@ -731,7 +630,7 @@ func (s server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s server) handleOntologies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"builtin":    ontology.BuiltinNames(),
 		"heuristics": certainty.AllHeuristics,
 	})

@@ -28,7 +28,7 @@ func registerTemplateRoutes(mux *http.ServeMux, s server) {
 
 func (s server) handleTemplatePublish(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Templates == nil {
-		writeErr(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			errors.New("this node has no wrapper store"))
 		return
 	}
@@ -39,19 +39,19 @@ func (s server) handleTemplatePublish(w http.ResponseWriter, r *http.Request) {
 	// Absorb, not Put: a published entry must not be re-announced through
 	// OnStore, or two warmed replicas would bounce it forever.
 	if err := s.cfg.Templates.Absorb(&e); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"absorbed": e.Key})
+	WriteJSON(w, http.StatusOK, map[string]any{"absorbed": e.Key})
 }
 
 func (s server) handleTemplateStats(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Templates == nil {
-		writeErr(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			errors.New("this node has no wrapper store"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Templates.Stats())
+	WriteJSON(w, http.StatusOK, s.cfg.Templates.Stats())
 }
 
 // handleTemplateExport streams the full store as NDJSON, one entry per line,
@@ -60,7 +60,7 @@ func (s server) handleTemplateStats(w http.ResponseWriter, r *http.Request) {
 // neighbors before taking traffic.
 func (s server) handleTemplateExport(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Templates == nil {
-		writeErr(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			errors.New("this node has no wrapper store"))
 		return
 	}
@@ -71,30 +71,4 @@ func (s server) handleTemplateExport(w http.ResponseWriter, _ *http.Request) {
 			return // mid-stream write failure: the puller sees a torn stream and retries elsewhere
 		}
 	}
-}
-
-// responseFromEntry rebuilds the wire response from a stored wrapper entry,
-// field-for-field the way toDiscoverResponse builds it from a fresh result —
-// the conformance suite holds the two byte-identical.
-func responseFromEntry(e *template.Entry) *discoverResponse {
-	out := &discoverResponse{
-		Separator: e.Separator,
-		TopTags:   append([]string(nil), e.TopTags...),
-		Subtree:   e.Subtree,
-		Rankings:  map[string][]rankRow{},
-	}
-	for _, s := range e.Scores {
-		out.Scores = append(out.Scores, scoreBody{Tag: s.Tag, CF: s.CF})
-	}
-	for name, rows := range e.Rankings {
-		rr := make([]rankRow, 0, len(rows))
-		for _, row := range rows {
-			rr = append(rr, rankRow{Tag: row.Tag, Rank: row.Rank})
-		}
-		out.Rankings[name] = rr
-	}
-	for _, c := range e.Candidates {
-		out.Candidates = append(out.Candidates, candidateBody{Tag: c.Tag, Count: c.Count})
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/internal/ontology"
 	"repro/internal/wrapper"
 )
 
@@ -38,25 +39,25 @@ func (s server) handleWrapperLearn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Samples) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("samples are required"))
+		WriteError(w, http.StatusBadRequest, errors.New("samples are required"))
 		return
 	}
-	ont, err := (&request{Ontology: req.Ontology}).resolveOntology()
+	ont, err := ontology.Resolve(req.Ontology)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	learned, err := wrapper.Learn(req.Samples, ont)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	var buf bytes.Buffer
 	if err := learned.Save(&buf); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"wrapper":    json.RawMessage(buf.Bytes()),
 		"separator":  learned.Separator,
 		"confidence": learned.Confidence,
@@ -70,17 +71,17 @@ func (s server) handleWrapperApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Wrapper) == 0 || req.HTML == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("wrapper and html are required"))
+		WriteError(w, http.StatusBadRequest, errors.New("wrapper and html are required"))
 		return
 	}
-	ont, err := (&request{Ontology: req.Ontology}).resolveOntology()
+	ont, err := ontology.Resolve(req.Ontology)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	learned, err := wrapper.LoadWithOntology(bytes.NewReader(req.Wrapper), ont)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	records, err := learned.Apply(req.HTML)
@@ -89,14 +90,14 @@ func (s server) handleWrapperApply(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, wrapper.ErrDrift) {
 			status = http.StatusConflict
 		}
-		writeErr(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	var out []recordBody
 	for _, rec := range records {
 		out = append(out, recordBody{Text: rec.Text, Start: rec.Start, End: rec.End})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"separator": learned.Separator,
 		"records":   out,
 	})

@@ -333,3 +333,21 @@ func (p *parser) parseRelationship(rest string) error {
 }
 
 var relPattern = regexp.MustCompile(`^(\S+)\s*\[([^\]]*)\]\s*(\S+)\s*\[([^\]]*)\]$`)
+
+// Resolve turns a request's ontology argument into an ontology: empty means
+// none (nil, so OM declines), a built-in name selects that ontology, and
+// anything else is parsed as DSL source.
+func Resolve(src string) (*Ontology, error) {
+	if src == "" {
+		return nil, nil
+	}
+	if ont := Builtin(src); ont != nil {
+		return ont, nil
+	}
+	ont, err := Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("ontology is neither built-in (%v) nor valid DSL: %w",
+			BuiltinNames(), err)
+	}
+	return ont, nil
+}

@@ -237,7 +237,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 		go func() {
 			defer wg.Done()
 			// One pooled arena per worker: each attempt resets and reuses
-			// it, and fillResult deep-copies everything an Outcome carries
+			// it, and Result.Answer copies everything an Outcome carries
 			// before the next task overwrites the tree.
 			arena := tagtree.AcquireArena()
 			defer arena.Release()
@@ -352,7 +352,7 @@ func (e *Engine) process(ctx context.Context, t *Task, retries *atomic.Int64, ar
 		}
 		res, err := e.attempt(ctx, t, ont, arena)
 		if err == nil {
-			o.fillResult(res)
+			o.SetAnswer(res.Answer())
 			if attempt > 1 {
 				o.Attempts = attempt
 			}
@@ -457,8 +457,8 @@ type ontologyEntry struct {
 	err error
 }
 
-// resolve mirrors the HTTP surface's rules: empty disables OM, a built-in
-// name selects it, anything else is parsed as DSL source.
+// resolve applies ontology.Resolve, the HTTP surface's rules, once per
+// distinct source.
 func (c *ontologyCache) resolve(src string) (*ontology.Ontology, error) {
 	if src == "" {
 		return nil, nil
@@ -468,18 +468,10 @@ func (c *ontologyCache) resolve(src string) (*ontology.Ontology, error) {
 	if c.m == nil {
 		c.m = make(map[string]ontologyEntry)
 	}
-	if e, ok := c.m[src]; ok {
-		return e.ont, e.err
+	e, ok := c.m[src]
+	if !ok {
+		e.ont, e.err = ontology.Resolve(src)
+		c.m[src] = e
 	}
-	var e ontologyEntry
-	if ont := ontology.Builtin(src); ont != nil {
-		e.ont = ont
-	} else if ont, err := ontology.Parse(src); err == nil {
-		e.ont = ont
-	} else {
-		e.err = fmt.Errorf("ontology is neither built-in (%v) nor valid DSL: %w",
-			ontology.BuiltinNames(), err)
-	}
-	c.m[src] = e
 	return e.ont, e.err
 }

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Source yields tasks in input order with dense sequence numbers starting at
@@ -25,15 +27,12 @@ type Source interface {
 // choose a limit — the same envelope the HTTP surface enforces per body.
 const DefaultMaxLineBytes = 8 << 20
 
-// taskLine is the NDJSON input envelope: the /v1/discover request fields
-// plus the bulk id and shard labels.
+// taskLine is the NDJSON input envelope: the /v1/discover request plus the
+// bulk id and shard labels.
 type taskLine struct {
-	ID            string   `json:"id,omitempty"`
-	HTML          string   `json:"html,omitempty"`
-	XML           string   `json:"xml,omitempty"`
-	Ontology      string   `json:"ontology,omitempty"`
-	SeparatorList []string `json:"separator_list,omitempty"`
-	Shard         string   `json:"shard,omitempty"`
+	ID string `json:"id,omitempty"`
+	wire.Request
+	Shard string `json:"shard,omitempty"`
 }
 
 // NDJSONSource reads one task per JSON line. Blank lines are skipped; a
@@ -89,14 +88,7 @@ func (s *NDJSONSource) Next() (*Task, error) {
 		t.Ontology = tl.Ontology
 		t.SeparatorList = tl.SeparatorList
 		t.Shard = tl.Shard
-		switch {
-		case (tl.HTML == "") == (tl.XML == ""):
-			t.invalid = errors.New("exactly one of html or xml is required")
-		case tl.HTML != "":
-			t.Mode, t.Doc = "html", tl.HTML
-		default:
-			t.Mode, t.Doc = "xml", tl.XML
-		}
+		t.Mode, t.Doc, t.invalid = tl.Document()
 		return t, nil
 	}
 }

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Task is one document queued for bulk discovery. Seq is its dense 0-based
@@ -51,24 +51,6 @@ func (t *Task) TaskID() string {
 	return fmt.Sprintf("doc-%d", t.Seq)
 }
 
-// Score is one compound certainty score on the wire.
-type Score struct {
-	Tag string  `json:"tag"`
-	CF  float64 `json:"cf"`
-}
-
-// RankEntry is one heuristic ranking row on the wire.
-type RankEntry struct {
-	Tag  string `json:"tag"`
-	Rank int    `json:"rank"`
-}
-
-// Candidate is one candidate separator tag with its count on the wire.
-type Candidate struct {
-	Tag   string `json:"tag"`
-	Count int    `json:"count"`
-}
-
 // Outcome is one document's bulk-discovery result as written to the output
 // stream — the same shape as the /v1/discover response body plus the bulk
 // envelope (seq, id, shard, attempts, error). Exactly one of Separator or
@@ -80,11 +62,14 @@ type Outcome struct {
 	// Attempts is recorded only when retries happened (>1).
 	Attempts int `json:"attempts,omitempty"`
 
+	// The answer fields are wire.Answer's, each omitted when empty: an
+	// error line carries none of them, and a single-candidate answer's
+	// empty rankings are left off the line.
 	Separator  string                 `json:"separator,omitempty"`
 	TopTags    []string               `json:"top_tags,omitempty"`
-	Scores     []Score                `json:"scores,omitempty"`
-	Rankings   map[string][]RankEntry `json:"rankings,omitempty"`
-	Candidates []Candidate            `json:"candidates,omitempty"`
+	Scores     []wire.Score           `json:"scores,omitempty"`
+	Rankings   map[string][]wire.Rank `json:"rankings,omitempty"`
+	Candidates []wire.Candidate       `json:"candidates,omitempty"`
 	Subtree    string                 `json:"subtree,omitempty"`
 
 	Degraded         bool     `json:"degraded,omitempty"`
@@ -102,27 +87,16 @@ type Outcome struct {
 	canceled bool
 }
 
-// fillResult copies a discovery result into the outcome's wire fields.
-func (o *Outcome) fillResult(res *core.Result) {
-	o.Separator = res.Separator
-	o.TopTags = res.TopTags
-	o.Subtree = res.Subtree.Name
-	o.Degraded = res.Degraded
-	o.FailedHeuristics = res.FailedHeuristics
-	for _, s := range res.Scores {
-		o.Scores = append(o.Scores, Score{Tag: s.Tag, CF: s.CF})
-	}
-	if len(res.Rankings) > 0 {
-		o.Rankings = make(map[string][]RankEntry, len(res.Rankings))
-		for name, ranking := range res.Rankings {
-			rows := make([]RankEntry, 0, len(ranking))
-			for _, e := range ranking {
-				rows = append(rows, RankEntry{Tag: e.Tag, Rank: e.Rank})
-			}
-			o.Rankings[name] = rows
-		}
-	}
-	for _, c := range res.Candidates {
-		o.Candidates = append(o.Candidates, Candidate{Tag: c.Name, Count: c.Count})
-	}
+// SetAnswer fills the outcome's answer fields from a — a local discovery's
+// core.Result.Answer, or a replica's decoded /v1/discover body on the
+// cluster stream path — so both surfaces write identical lines.
+func (o *Outcome) SetAnswer(a wire.Answer) {
+	o.Separator = a.Separator
+	o.TopTags = a.TopTags
+	o.Scores = a.Scores
+	o.Rankings = a.Rankings
+	o.Candidates = a.Candidates
+	o.Subtree = a.Subtree
+	o.Degraded = a.Degraded
+	o.FailedHeuristics = a.FailedHeuristics
 }

@@ -1,6 +1,7 @@
 package template
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/tagtree"
@@ -23,6 +24,7 @@ func FuzzFingerprintDoc(f *testing.F) {
 		"<select><option>1<option>2</select>",
 		"<p <div> </p x>",
 		"<textarea></textarea\u00e9></textarea>",
+		"<div><span><span><b>x</b></span></span><hr/><p/><br></div>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -36,6 +38,30 @@ func FuzzFingerprintDoc(f *testing.F) {
 		}
 		if again := FingerprintDoc(doc); again != fast {
 			t.Fatalf("FingerprintDoc not deterministic on %q", doc)
+		}
+
+		// The scanner's node and depth counts decide whether a warm hit
+		// may skip the tree builder's limits, so each bound at and just
+		// under them must be accepted or rejected exactly as the builder
+		// accepts or rejects the document.
+		_, shape := scanDoc(doc)
+		var limits []tagtree.Limits
+		for _, n := range []int{max(shape.nodes, 1), shape.nodes - 1} {
+			if n > 0 {
+				limits = append(limits, tagtree.Limits{MaxNodes: n})
+			}
+		}
+		for _, d := range []int{max(shape.depth, 1), shape.depth - 1} {
+			if d > 0 {
+				limits = append(limits, tagtree.Limits{MaxDepth: d})
+			}
+		}
+		for _, lim := range limits {
+			_, err := tagtree.ParseContext(context.Background(), doc, lim)
+			if shape.exceeds(lim) != (err != nil) {
+				t.Fatalf("scanner counts %d nodes, depth %d on %q; under %+v the tree builder says %v",
+					shape.nodes, shape.depth, doc, lim, err)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/htmlparse"
+	"repro/internal/tagtree"
 )
 
 // FingerprintDoc fingerprints a raw HTML document without building the tag
@@ -17,12 +18,34 @@ import (
 // FingerprintTree(tagtree.Parse(doc)) returns, at a small fraction of the
 // cost — this is what lets a template hit undercut full discovery by ~50×.
 func FingerprintDoc(doc string) Fingerprint {
+	fp, _ := scanDoc(doc)
+	return fp
+}
+
+// docShape is what the tree builder's resource limits measure, counted by
+// the scanner the way tagtree counts them: every element (voids and
+// self-closing tags included) is a node, and depth is the deepest nesting
+// of elements that take children.
+type docShape struct {
+	nodes, depth int
+}
+
+// exceeds reports whether a tree of this shape breaks lim's node or depth
+// bound (zero bounds are unlimited, as in tagtree.Limits).
+func (d docShape) exceeds(lim tagtree.Limits) bool {
+	return (lim.MaxNodes > 0 && d.nodes > lim.MaxNodes) ||
+		(lim.MaxDepth > 0 && d.depth > lim.MaxDepth)
+}
+
+// scanDoc is FingerprintDoc plus the document's tree shape.
+func scanDoc(doc string) (Fingerprint, docShape) {
 	sc := scanPool.Get().(*docScanner)
 	sc.reset()
 	sc.scan(doc)
 	fp := sc.fingerprint()
+	shape := sc.shape
 	scanPool.Put(sc)
-	return fp
+	return fp, shape
 }
 
 var scanPool = sync.Pool{New: func() any { return newDocScanner() }}
@@ -50,6 +73,7 @@ type docScanner struct {
 	fan     []int32 // child count per open element
 	elems   []elemRec
 	rootFan int32
+	shape   docShape
 
 	nbuf []byte // lowercased tag-name scratch
 	sbuf []byte // hash serialization scratch
@@ -86,6 +110,7 @@ func (sc *docScanner) reset() {
 	sc.fan = sc.fan[:0]
 	sc.elems = sc.elems[:0]
 	sc.rootFan = 0
+	sc.shape = docShape{}
 	if sc.extra != nil {
 		sc.extra = nil
 		sc.extraNames = sc.extraNames[:0]
@@ -126,8 +151,9 @@ func (sc *docScanner) intern(raw string) int32 {
 }
 
 // noteChild credits a new element to its parent's fan-out (or the synthetic
-// root's when the stack is empty).
+// root's when the stack is empty) and counts it as a node.
 func (sc *docScanner) noteChild() {
+	sc.shape.nodes++
 	if n := len(sc.fan); n > 0 {
 		sc.fan[n-1]++
 	} else {
@@ -141,6 +167,7 @@ func (sc *docScanner) push(id int32) {
 	sc.stack = append(sc.stack, id)
 	sc.fan = append(sc.fan, 0)
 	sc.events = append(sc.events, openEvent(id))
+	sc.shape.depth = max(sc.shape.depth, len(sc.stack))
 }
 
 // pop closes the innermost open element, recording its completed region.

@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/htmlparse"
 	"repro/internal/journal"
 	"repro/internal/lru"
 	"repro/internal/obs"
+	"repro/internal/tagtree"
+	"repro/internal/wire"
 )
 
 // ErrCorrupt marks a wrapper-store journal whose body (not merely its torn
@@ -17,25 +21,6 @@ import (
 // errors.Is; the store refuses to open over corruption rather than silently
 // serving a partial memory of what it learned.
 var ErrCorrupt = errors.New("template: corrupt store journal")
-
-// Score is one compound-certainty row of a learned answer, mirroring the
-// discover response's scores array.
-type Score struct {
-	Tag string  `json:"tag"`
-	CF  float64 `json:"cf"`
-}
-
-// RankEntry is one row of a heuristic's ranking, mirroring the wire shape.
-type RankEntry struct {
-	Tag  string `json:"tag"`
-	Rank int    `json:"rank"`
-}
-
-// Candidate is one candidate separator tag with its subtree count.
-type Candidate struct {
-	Tag   string `json:"tag"`
-	Count int    `json:"count"`
-}
 
 // Entry is a learned wrapper: the complete, reconstructable discovery answer
 // for one (fingerprint, options) key. It snapshots every field a discover
@@ -45,18 +30,10 @@ type Candidate struct {
 type Entry struct {
 	// Key is the hex store key (MakeKey of fingerprint + option salt).
 	Key string `json:"key"`
-	// Separator and TopTags are the discovery consensus.
-	Separator string   `json:"separator"`
-	TopTags   []string `json:"top_tags"`
-	// Scores are all candidates with compound CFs, best first.
-	Scores []Score `json:"scores"`
-	// Rankings holds each contributing heuristic's ordered answer.
-	Rankings map[string][]RankEntry `json:"rankings"`
-	// Candidates are the candidate tags with counts, descending.
-	Candidates []Candidate `json:"candidates"`
+	// Answer is the discovery answer as every surface encodes it. Its
 	// Subtree names the highest-fan-out node the answer was learned on; a
 	// hit whose document disagrees is drift, not a servable answer.
-	Subtree string `json:"subtree"`
+	wire.Answer
 	// Reasons carries per-heuristic decline reasons (library surface).
 	Reasons map[string]string `json:"reasons,omitempty"`
 	// Certainty is the compound CF of the winning separator — the entry's
@@ -86,24 +63,13 @@ func (e *Entry) Validate() error {
 }
 
 // clone deep-copies an entry so cached state can never be mutated through a
-// pointer a caller (or the JSON decoder on a later Absorb) still holds.
+// pointer a caller (or the JSON decoder on a later Absorb) still holds. Like
+// wire.Answer.Clone it leaves Rankings non-nil, which is what lets an entry
+// journaled with "rankings": null compare Equal to its relearned twin.
 func (e *Entry) clone() *Entry {
 	c := *e
-	c.TopTags = append([]string(nil), e.TopTags...)
-	c.Scores = append([]Score(nil), e.Scores...)
-	c.Candidates = append([]Candidate(nil), e.Candidates...)
-	if e.Rankings != nil {
-		c.Rankings = make(map[string][]RankEntry, len(e.Rankings))
-		for k, v := range e.Rankings {
-			c.Rankings[k] = append([]RankEntry(nil), v...)
-		}
-	}
-	if e.Reasons != nil {
-		c.Reasons = make(map[string]string, len(e.Reasons))
-		for k, v := range e.Reasons {
-			c.Reasons[k] = v
-		}
-	}
+	c.Answer = e.Answer.Clone()
+	c.Reasons = maps.Clone(e.Reasons)
 	return &c
 }
 
@@ -232,7 +198,7 @@ func (s *Store) applyPut(put json.RawMessage) error {
 		return err
 	}
 	k, _ := ParseKey(e.Key)
-	s.cache.Add(k, &e)
+	s.cache.Add(k, e.clone())
 	return nil
 }
 
@@ -301,9 +267,18 @@ func (s *Store) Lookup(key Key) (*Entry, bool) {
 
 // LookupDoc is Lookup over a raw HTML document: it fingerprints doc with the
 // fast scanner and returns the entry, the computed key (for a later Put on
-// miss), and whether it hit.
-func (s *Store) LookupDoc(doc, salt string) (*Entry, Key, bool) {
-	key := MakeKey(FingerprintDoc(doc), salt)
+// miss), and whether it hit. A document outside lim — its size, or the node
+// count or depth its tag tree would have — never hits, so the caller's full
+// discovery rejects it exactly as a cold request would be rejected.
+func (s *Store) LookupDoc(doc, salt string, lim tagtree.Limits) (*Entry, Key, bool) {
+	if htmlparse.CheckSize(doc, lim.MaxBytes) != nil {
+		return nil, Key{}, false
+	}
+	fp, shape := scanDoc(doc)
+	if shape.exceeds(lim) {
+		return nil, Key{}, false
+	}
+	key := MakeKey(fp, salt)
 	e, ok := s.Lookup(key)
 	return e, key, ok
 }
@@ -318,14 +293,30 @@ func (s *Store) SpotCheck() bool {
 	return s.hits.Add(1)%uint64(s.cfg.SpotCheckEvery) == 0
 }
 
-// ReportSpotCheck records a spot-check outcome ("ok" or "divergent").
-func (s *Store) ReportSpotCheck(outcome string) {
-	if s == nil {
+// Learn files a full-discovery answer: a degraded one is dropped (it came
+// from the surviving heuristics only, the result cache's completeness rule),
+// anything else is Put. spot is the stored entry a spot-checked hit is
+// re-verifying, or nil: a spot matching the fresh answer counts as "ok"; a
+// divergent one is drift — evicted, then overwritten by the fresh answer.
+func (s *Store) Learn(spot, fresh *Entry) {
+	if s == nil || fresh.Degraded {
 		return
 	}
-	s.cfg.Metrics.Counter("boundary_template_spot_checks_total",
-		"Template hits re-verified against full discovery, by outcome.",
-		"outcome", outcome).Inc()
+	if spot != nil {
+		outcome := "ok"
+		if !spot.Equal(fresh) {
+			outcome = "divergent"
+			if key, err := ParseKey(fresh.Key); err == nil {
+				s.evict(key, outcome)
+			}
+		}
+		s.cfg.Metrics.Counter("boundary_template_spot_checks_total",
+			"Template hits re-verified against full discovery, by outcome.",
+			"outcome", outcome).Inc()
+	}
+	// An answer Put rejects as invalid is just not learned; the caller has
+	// already served it from full discovery.
+	_ = s.Put(fresh)
 }
 
 // Put stores a locally-learned entry: validates, caches, journals, and
@@ -353,10 +344,10 @@ func (s *Store) add(e *Entry, local bool) error {
 		return err
 	}
 	key, _ := ParseKey(e.Key)
+	e = e.clone()
 	if old, ok := s.cache.Get(key); ok && old.Equal(e) {
 		return nil
 	}
-	e = e.clone()
 	s.cache.Add(key, e)
 	s.mEntries.Set(float64(s.cache.Len()))
 	if local {

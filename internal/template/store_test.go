@@ -10,22 +10,25 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // testEntry builds a valid entry keyed by an arbitrary document shape.
 func testEntry(doc string, certainty float64) *Entry {
 	key := MakeKey(FingerprintDoc(doc), Salt("html", "", nil))
 	return &Entry{
-		Key:       key.String(),
-		Separator: "hr",
-		TopTags:   []string{"hr"},
-		Scores:    []Score{{Tag: "hr", CF: certainty}, {Tag: "p", CF: 0.2}},
-		Rankings: map[string][]RankEntry{
-			"OM": {{Tag: "hr", Rank: 1}, {Tag: "p", Rank: 2}},
+		Key: key.String(),
+		Answer: wire.Answer{
+			Separator: "hr",
+			TopTags:   []string{"hr"},
+			Scores:    []wire.Score{{Tag: "hr", CF: certainty}, {Tag: "p", CF: 0.2}},
+			Rankings: map[string][]wire.Rank{
+				"OM": {{Tag: "hr", Rank: 1}, {Tag: "p", Rank: 2}},
+			},
+			Candidates: []wire.Candidate{{Tag: "hr", Count: 3}, {Tag: "p", Count: 2}},
+			Subtree:    "body",
 		},
-		Candidates: []Candidate{{Tag: "hr", Count: 3}, {Tag: "p", Count: 2}},
-		Subtree:    "body",
-		Certainty:  certainty,
+		Certainty: certainty,
 	}
 }
 
@@ -73,9 +76,9 @@ func TestStoreRejectsInvalidEntries(t *testing.T) {
 	defer s.Close()
 	bad := []*Entry{
 		nil,
-		{Key: "nothex", Separator: "hr", Subtree: "body"},
-		{Key: testEntry("<p>a</p>", 1).Key, Separator: "", Subtree: "body"},
-		{Key: testEntry("<p>a</p>", 1).Key, Separator: "hr", Subtree: ""},
+		{Key: "nothex", Answer: wire.Answer{Separator: "hr", Subtree: "body"}},
+		{Key: testEntry("<p>a</p>", 1).Key, Answer: wire.Answer{Separator: "", Subtree: "body"}},
+		{Key: testEntry("<p>a</p>", 1).Key, Answer: wire.Answer{Separator: "hr", Subtree: ""}},
 		func() *Entry { e := testEntry("<p>a</p>", 1); e.Certainty = 1.5; return e }(),
 	}
 	for i, e := range bad {
