@@ -465,7 +465,7 @@ func TestTemplateFastPathSpeedup(t *testing.T) {
 	// side is microseconds per op — one descheduled slice can inflate a
 	// single measurement severalfold. Measure up to a few trials and pass on
 	// the first that clears the floor; fail only if none do (idle-machine
-	// ratios run >150x, so a persistent miss of 50x is a real regression,
+	// ratios run ~80-110x, so a persistent miss of 50x is a real regression,
 	// not scheduling noise).
 	const trials = 4
 	best := 0.0

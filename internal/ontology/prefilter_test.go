@@ -58,13 +58,13 @@ func TestPrefilterIsNecessary(t *testing.T) {
 	for _, name := range BuiltinNames() {
 		ont := Builtin(name)
 		for _, r := range ont.Rules() {
-			if r.Prefilter == nil {
+			if r.Compiled.Prefilter == nil {
 				continue
 			}
 			for _, s := range samples {
 				for _, m := range r.Pattern.FindAllString(s, -1) {
 					hit := false
-					for _, l := range r.Prefilter {
+					for _, l := range r.Compiled.Prefilter {
 						if strings.Contains(s, l) {
 							hit = true
 							break
@@ -72,7 +72,7 @@ func TestPrefilterIsNecessary(t *testing.T) {
 					}
 					if !hit {
 						t.Errorf("%s rule %s: match %q in %q escapes prefilter %v",
-							name, r.Descriptor(), m, s, r.Prefilter)
+							name, r.Descriptor(), m, s, r.Compiled.Prefilter)
 					}
 				}
 			}

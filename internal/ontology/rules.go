@@ -28,11 +28,10 @@ type Rule struct {
 	ObjectSet string
 	Kind      RuleKind
 	Pattern   *regexp.Regexp
-	// Prefilter is a necessary-literal set: every match of Pattern contains
-	// at least one of these case-sensitive strings, so a text chunk
-	// containing none of them cannot match and the regexp engine need not
-	// run. nil means no useful set exists and Pattern must always run.
-	Prefilter []string
+	// Compiled is the pattern's candidate-scan form, including its
+	// prefilter literals, shared by every rule of the ontology with the
+	// same pattern source.
+	Compiled *CompiledPattern
 }
 
 // Descriptor is the Data-Record-Table descriptor for matches of this rule,
@@ -41,24 +40,27 @@ func (r Rule) Descriptor() string { return r.ObjectSet + "/" + r.Kind.String() }
 
 // Rules generates the constant/keyword matching rules for the ontology, in
 // object-set declaration order with keyword rules before constant rules for
-// each set. The rule set — including each rule's prefilter literals — is
-// computed once per ontology and shared by every caller, so the recognizer's
-// hot path pays no per-document set-up cost. Callers must not mutate the
-// returned slice.
+// each set. The rule set — including each distinct pattern's compiled
+// candidate-scan data — is computed once per ontology and shared by every
+// caller, so the recognizer's hot path pays no per-document set-up cost.
+// Callers must not mutate the returned slice.
 func (o *Ontology) Rules() []Rule {
 	o.rulesOnce.Do(func() {
+		compiled := map[string]*CompiledPattern{}
+		add := func(set string, kind RuleKind, p *regexp.Regexp) {
+			c := compiled[p.String()]
+			if c == nil {
+				c = compilePattern(p, len(compiled))
+				compiled[p.String()] = c
+			}
+			o.rules = append(o.rules, Rule{ObjectSet: set, Kind: kind, Pattern: p, Compiled: c})
+		}
 		for _, s := range o.ObjectSets {
 			for _, p := range s.Frame.KeywordPatterns {
-				o.rules = append(o.rules, Rule{
-					ObjectSet: s.Name, Kind: KeywordRule, Pattern: p,
-					Prefilter: prefilterLiterals(p.String()),
-				})
+				add(s.Name, KeywordRule, p)
 			}
 			for _, p := range s.Frame.ValuePatterns {
-				o.rules = append(o.rules, Rule{
-					ObjectSet: s.Name, Kind: ConstantRule, Pattern: p,
-					Prefilter: prefilterLiterals(p.String()),
-				})
+				add(s.Name, ConstantRule, p)
 			}
 		}
 	})

@@ -6,6 +6,5 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestMain fails the package's test run if the chunk-scan worker pool leaks
-// goroutines, including on cancellation, fault, and panic paths.
+// TestMain fails the package's test run if a test leaks goroutines.
 func TestMain(m *testing.M) { testutil.VerifyTestMain(m) }

@@ -7,15 +7,23 @@
 // The OM heuristic (§4.5) reads its occurrence counts from this table, and
 // the Database-Instance Generator partitions it at the discovered separator
 // positions to build records.
+//
+// Building the table is the whole cost of an ontology-armed discovery, so
+// the scan is candidate-driven: each distinct pattern's compiled form
+// (ontology.CompiledPattern) tells it which chunks can hold a match and at
+// which positions one can start, and only there does it run the pattern's
+// anchored program. The result is exactly what running every rule's
+// unanchored pattern with FindAllStringIndex over every chunk would give;
+// reference_test.go keeps that scan as the test oracle.
 package recognizer
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/faultinject"
 	"repro/internal/ontology"
@@ -92,16 +100,16 @@ func (t *Table) buildCounts() {
 }
 
 // Slice returns the entries with Pos in [from, to), preserving order. It is
-// how the Database-Instance Generator partitions the table into records.
+// how the Database-Instance Generator partitions the table into records. An
+// empty or inverted range (to <= from) yields no entries.
 func (t *Table) Slice(from, to int) []Entry {
 	lo := sort.Search(len(t.Entries), func(i int) bool { return t.Entries[i].Pos >= from })
 	hi := sort.Search(len(t.Entries), func(i int) bool { return t.Entries[i].Pos >= to })
+	if hi < lo {
+		hi = lo
+	}
 	return t.Entries[lo:hi]
 }
-
-// parallelThreshold is the total chunk byte count below which fanning the
-// scan out across workers costs more than it saves.
-const parallelThreshold = 16 << 10
 
 // Recognize runs the ontology's matching rules over the plain text of the
 // subtree rooted at n (normally the highest-fan-out subtree) and returns the
@@ -109,12 +117,15 @@ const parallelThreshold = 16 << 10
 // matches across a tag boundary, mirroring how the paper's recognizers run
 // over the cleaned text between tags. Positions are document offsets.
 //
-// Each chunk takes a single pass: rules whose prefilter literals (see
-// ontology.Rule.Prefilter) are absent from the chunk are rejected with
-// substring scans and never reach the regexp engine. Chunks are independent,
-// so large documents fan out across a bounded worker pool; per-chunk entry
-// lists are sorted locally and concatenated in document order, which leaves
-// the table globally sorted without a final full-table sort.
+// Each chunk is scanned once per distinct pattern (rules sharing a pattern
+// share its match list). A pattern whose necessary literals or required
+// bytes (see ontology.CompiledPattern) are absent from the chunk never
+// reaches the regexp engine; otherwise the scan visits only candidate
+// positions — bytes a match can start with, behind a matching literal
+// prefix — and runs the pattern's anchored program there. The matches are
+// exactly the leftmost-first, non-overlapping ones FindAllStringIndex would
+// report. Each chunk's entries are sorted locally and chunks are visited in
+// document order, which leaves the table globally sorted.
 func Recognize(ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node) *Table {
 	t, err := RecognizeContext(context.Background(), ont, tree, n, nil)
 	if err != nil {
@@ -125,17 +136,35 @@ func Recognize(ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node) *Tab
 	return t
 }
 
-// scanCheckEvery is how many chunks the serial scan processes between
-// context checks.
+// scanCheckEvery is how many chunks the scan processes between context
+// checks.
 const scanCheckEvery = 64
 
 // scanScratch is the transient per-scan state RecognizeContext reuses via a
-// pool: the text-chunk gather list and the per-chunk output table of the
-// parallel path. Only scratch is pooled — the returned Table's entries are
-// always freshly allocated, so results never alias pooled memory.
+// pool: the text-chunk gather list and one match list per distinct pattern.
+// Only scratch is pooled — the returned Table's entries are always freshly
+// allocated, so results never alias pooled memory.
 type scanScratch struct {
-	chunks   []tagtree.Event
-	perChunk [][]Entry
+	chunks []tagtree.Event
+	// matches[i] holds the current chunk's [start, end) pairs, flattened,
+	// for the pattern with Compiled.Index i; done[i] says they are computed.
+	matches [][]int
+	done    []bool
+}
+
+// size readies one match list per distinct pattern of rules.
+func (s *scanScratch) size(rules []ontology.Rule) {
+	patterns := 0
+	for _, r := range rules {
+		patterns = max(patterns, r.Compiled.Index+1)
+	}
+	for len(s.matches) < patterns {
+		s.matches = append(s.matches, nil)
+	}
+	if cap(s.done) < patterns {
+		s.done = make([]bool, patterns)
+	}
+	s.done = s.done[:patterns]
 }
 
 // maxRetainedChunks bounds a pooled scratch's kept capacity.
@@ -143,9 +172,9 @@ const maxRetainedChunks = 1 << 14
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// release scrubs document references (chunk text, node pointers, per-chunk
-// entry slices) and repools. Deferred right after Get, so a panicking scan
-// still returns its entry.
+// release scrubs document references (chunk text, node pointers) and
+// repools. Deferred right after Get, so a panicking scan still returns its
+// entry.
 func (s *scanScratch) release() {
 	if cap(s.chunks) > maxRetainedChunks {
 		s.chunks = nil
@@ -156,145 +185,50 @@ func (s *scanScratch) release() {
 		}
 		s.chunks = s.chunks[:0]
 	}
-	if cap(s.perChunk) > maxRetainedChunks {
-		s.perChunk = nil
-	} else {
-		pc := s.perChunk[:cap(s.perChunk)]
-		for i := range pc {
-			pc[i] = nil
+	for i, m := range s.matches {
+		if cap(m) > maxRetainedChunks {
+			s.matches[i] = nil
 		}
-		s.perChunk = s.perChunk[:0]
 	}
 	scanScratchPool.Put(s)
 }
 
 // RecognizeContext is Recognize with cancellation and fault injection: the
-// scan — serial or fanned out across the worker pool — stops promptly when
-// ctx is canceled, a panicking chunk scan is contained and surfaced as an
-// error instead of crashing the process, and faults (nil in production)
-// arms the "recognizer/chunk" hook point fired once per scanned chunk.
+// scan stops promptly when ctx is canceled, a panicking chunk scan is
+// contained and surfaced as an error instead of crashing the process, and
+// faults (nil in production) arms the "recognizer/chunk" hook point fired
+// once per scanned chunk.
 func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node, faults *faultinject.Set) (*Table, error) {
 	rules := ont.Rules()
 
 	scr := scanScratchPool.Get().(*scanScratch)
 	defer scr.release()
 
-	events := tree.SubtreeEvents(n)
 	chunks := scr.chunks[:0]
-	total := 0
-	for _, ev := range events {
+	for _, ev := range tree.SubtreeEvents(n) {
 		if ev.Kind == tagtree.EventText {
 			chunks = append(chunks, ev)
-			total += len(ev.Text)
 		}
 	}
 	scr.chunks = chunks
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if total < parallelThreshold || workers <= 1 {
-		entries, err := scanSerial(ctx, rules, chunks, faults)
-		if err != nil {
-			return nil, err
-		}
-		t := &Table{Entries: entries}
-		t.buildCounts()
-		return t, nil
-	}
+	scr.size(rules)
 
-	// Shard the chunk list into contiguous runs, one per worker, so each
-	// worker's output is already in document order. scanCtx carries both
-	// caller cancellation and the fail-fast cancel below, so every worker
-	// and the feeder unblock as soon as anything goes wrong.
-	scanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	if cap(scr.perChunk) < len(chunks) {
-		scr.perChunk = make([][]Entry, len(chunks))
-	}
-	perChunk := scr.perChunk[:len(chunks)]
-	for i := range perChunk {
-		perChunk[i] = nil // a canceled prior scan may have left stale rows
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("recognizer: chunk scan panicked: %v", r))
-				}
-			}()
-			for {
-				select {
-				case i, ok := <-next:
-					if !ok {
-						return
-					}
-					if faults != nil {
-						if err := faults.FireCtx(scanCtx, "recognizer/chunk"); err != nil {
-							fail(err)
-							return
-						}
-					}
-					perChunk[i] = scanChunk(nil, rules, chunks[i])
-				case <-scanCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for i := range chunks {
-		select {
-		case next <- i:
-		case <-scanCtx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	entries, err := scanChunks(ctx, rules, chunks, scr, faults)
+	if err != nil {
 		return nil, err
-	}
-
-	n2 := 0
-	for _, es := range perChunk {
-		n2 += len(es)
-	}
-	entries := make([]Entry, 0, n2)
-	for _, es := range perChunk {
-		entries = append(entries, es...)
 	}
 	t := &Table{Entries: entries}
 	t.buildCounts()
 	return t, nil
 }
 
-// scanSerial matches every rule against every chunk on the calling
-// goroutine, honoring ctx, containing panics, and firing the per-chunk
-// fault hook. Entries come back sorted by (Pos, ObjectSet, Kind): chunks
-// are in ascending document order and their byte ranges are disjoint, so
-// sorting each chunk's matches locally keeps the concatenation globally
-// sorted.
-func scanSerial(ctx context.Context, rules []ontology.Rule, chunks []tagtree.Event, faults *faultinject.Set) (entries []Entry, err error) {
+// scanChunks matches every rule against every chunk, honoring ctx,
+// containing panics, and firing the per-chunk fault hook. Entries come back
+// sorted by (Pos, ObjectSet, Kind): chunks are in ascending document order
+// and their byte ranges are disjoint, so sorting each chunk's matches
+// locally keeps the concatenation globally sorted.
+func scanChunks(ctx context.Context, rules []ontology.Rule, chunks []tagtree.Event, scr *scanScratch, faults *faultinject.Set) (entries []Entry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			entries, err = nil, fmt.Errorf("recognizer: chunk scan panicked: %v", r)
@@ -311,39 +245,168 @@ func scanSerial(ctx context.Context, rules []ontology.Rule, chunks []tagtree.Eve
 				return nil, err
 			}
 		}
-		entries = scanChunk(entries, rules, ev)
+		entries = scanChunk(entries, rules, ev, scr)
 	}
 	return entries, nil
 }
 
-// scanChunk appends one chunk's matches to entries, locally sorted.
-func scanChunk(entries []Entry, rules []ontology.Rule, ev tagtree.Event) []Entry {
+// scanChunk appends one chunk's matches to entries, locally sorted. Rules
+// are visited in order and each rule's matches in text order, so the
+// pre-sort sequence — and with it the sorted result — does not depend on
+// how the match lists were found.
+func scanChunk(entries []Entry, rules []ontology.Rule, ev tagtree.Event, scr *scanScratch) []Entry {
 	chunkStart := len(entries)
+	clear(scr.done)
 	for _, r := range rules {
-		if !prefilterHit(r.Prefilter, ev.Text) {
-			continue
+		c := r.Compiled
+		if !scr.done[c.Index] {
+			scr.matches[c.Index] = findAll(scr.matches[c.Index][:0], c, ev.Text)
+			scr.done[c.Index] = true
 		}
-		for _, m := range r.Pattern.FindAllStringIndex(ev.Text, -1) {
+		m := scr.matches[c.Index]
+		for i := 0; i < len(m); i += 2 {
 			entries = append(entries, Entry{
 				ObjectSet: r.ObjectSet,
 				Kind:      r.Kind,
-				String:    ev.Text[m[0]:m[1]],
-				Pos:       ev.Pos + m[0],
-				End:       ev.Pos + m[1],
+				String:    ev.Text[m[i]:m[i+1]],
+				Pos:       ev.Pos + m[i],
+				End:       ev.Pos + m[i+1],
 			})
 		}
 	}
-	sortEntries(entries[chunkStart:])
+	if len(entries)-chunkStart > 1 {
+		sortEntries(entries[chunkStart:])
+	}
 	return entries
 }
 
-// prefilterHit reports whether the chunk can possibly match a rule with the
-// given necessary-literal set. An empty set means "always possible".
-func prefilterHit(lits []string, text string) bool {
-	if len(lits) == 0 {
+// findAll appends the [start, end) pairs of c's leftmost-first,
+// non-overlapping matches in text to dst — the matches
+// c.Pattern.FindAllStringIndex reports.
+func findAll(dst []int, c *ontology.CompiledPattern, text string) []int {
+	if !mayMatch(c, text) {
+		return dst
+	}
+	if c.Anchored == nil {
+		return findAllUnanchored(dst, c, text)
+	}
+	// budget caps the bytes handed to anchored runs. A chunk that exhausts
+	// it is dense with candidates whose runs stretch far ahead, where
+	// candidate scanning turns quadratic; it restarts with the unanchored
+	// search, whose cost is linear in the chunk.
+	budget := anchoredBudgetPerByte*len(text) + anchoredBudgetSlack
+	chunkStart := len(dst)
+	// runEnd ends the run of Alphabet bytes holding the last candidate;
+	// runOK says that run contains every required byte.
+	runEnd, runOK := -1, false
+	for p := 0; p < len(text); {
+		if c.StartASCII {
+			// Every ASCII byte begins a rune, so non-candidate bytes can be
+			// skipped without decoding.
+			for p < len(text) && !c.Start[text[p]] {
+				p++
+			}
+			if p == len(text) {
+				break
+			}
+		}
+		if c.Start[text[p]] && (!c.WordStart || p == 0 || !ontology.IsWordByte(text[p-1])) && c.HasPrefix(text[p:]) {
+			end := len(text)
+			if c.Alphabet != nil {
+				if p >= runEnd {
+					runEnd = p
+					for runEnd < len(text) && c.Alphabet[text[runEnd]] {
+						runEnd++
+					}
+					runOK = containsAll(text[p:runEnd], c.Required)
+				}
+				if !runOK {
+					// No match can start anywhere in this run. runEnd
+					// follows an ASCII byte, so it begins a rune.
+					p = runEnd
+					continue
+				}
+				// One byte past the run lets a trailing \b or $ see what
+				// follows a match.
+				end = min(end, runEnd+1)
+			}
+			if c.MaxLen >= 0 {
+				end = min(end, p+c.MaxLen+1)
+			}
+			if c.MaxSpaces >= 0 {
+				end = min(end, afterNthSpace(text, p, end, c.MaxSpaces+1))
+			}
+			if budget -= end - p; budget < 0 {
+				return findAllUnanchored(dst[:chunkStart], c, text)
+			}
+			if m := c.Anchored.FindStringIndex(text[p:end]); m != nil {
+				// Matches are never empty, so the walk always advances.
+				dst = append(dst, p, p+m[1])
+				p += m[1]
+				continue
+			}
+		}
+		if text[p] < utf8.RuneSelf {
+			p++
+		} else {
+			_, w := utf8.DecodeRuneInString(text[p:])
+			p += w
+		}
+	}
+	return dst
+}
+
+// Candidate scanning may hand at most anchoredBudgetPerByte bytes per chunk
+// byte, plus anchoredBudgetSlack, to anchored runs, so a chunk costs at most
+// a small multiple of the unanchored search. No chunk of the 220 corpus
+// documents, BenchmarkLinearScaling's pages or 40 pages of each obituary
+// training layout uses more than 35% of it.
+const (
+	anchoredBudgetPerByte = 4
+	anchoredBudgetSlack   = 1024
+)
+
+// findAllUnanchored appends c.Pattern.FindAllStringIndex's matches to dst.
+func findAllUnanchored(dst []int, c *ontology.CompiledPattern, text string) []int {
+	for _, m := range c.Pattern.FindAllStringIndex(text, -1) {
+		dst = append(dst, m[0], m[1])
+	}
+	return dst
+}
+
+// afterNthSpace returns one past the n-th ' ' in text[p:end], or end when
+// there are fewer.
+func afterNthSpace(text string, p, end, n int) int {
+	for ; n > 0; n-- {
+		i := strings.IndexByte(text[p:end], ' ')
+		if i < 0 {
+			return end
+		}
+		p += i + 1
+	}
+	return p
+}
+
+// containsAll reports whether text contains every byte of bs.
+func containsAll(text string, bs []byte) bool {
+	for _, b := range bs {
+		if strings.IndexByte(text, b) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mayMatch reports whether text contains one of c's necessary literals (if
+// it has any) and every one of its required bytes.
+func mayMatch(c *ontology.CompiledPattern, text string) bool {
+	if !containsAll(text, c.Required) {
+		return false
+	}
+	if len(c.Prefilter) == 0 {
 		return true
 	}
-	for _, l := range lits {
+	for _, l := range c.Prefilter {
 		if strings.Contains(text, l) {
 			return true
 		}

@@ -126,16 +126,12 @@ func (sc *docScanner) name(id int32) string {
 
 // intern returns the ID of the lowercased tag name raw.
 func (sc *docScanner) intern(raw string) int32 {
+	if id, ok := baseID(raw); ok {
+		return id
+	}
 	sc.nbuf = sc.nbuf[:0]
 	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		sc.nbuf = append(sc.nbuf, c)
-	}
-	if id, ok := baseIDs[string(sc.nbuf)]; ok {
-		return id
+		sc.nbuf = append(sc.nbuf, lowerASCII(raw[i]))
 	}
 	if id, ok := sc.extra[string(sc.nbuf)]; ok {
 		return id
@@ -148,6 +144,49 @@ func (sc *docScanner) intern(raw string) int32 {
 	sc.extraNames = append(sc.extraNames, name)
 	sc.extra[name] = id
 	return id
+}
+
+// baseID looks the tag name raw up in the built-in table, ignoring ASCII
+// case. Every start and end tag takes this path, so it hashes and compares
+// raw in place rather than lowercasing a copy for a map lookup.
+func baseID(raw string) (int32, bool) {
+	const mask = uint32(len(baseSlots) - 1)
+	for i := nameHash(raw) & mask; ; i = (i + 1) & mask {
+		slot := baseSlots[i]
+		if slot == 0 {
+			return 0, false
+		}
+		if n := baseNames[slot-1]; len(n) == len(raw) && equalLowerASCII(raw, n) {
+			return slot - 1, true
+		}
+	}
+}
+
+// nameHash is FNV-1a over the ASCII-lowercased bytes of name.
+func nameHash(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(lowerASCII(name[i]))) * 16777619
+	}
+	return h
+}
+
+// equalLowerASCII reports whether raw, ASCII-lowercased, equals lower, a
+// lowercase name of the same length.
+func equalLowerASCII(raw, lower string) bool {
+	for i := 0; i < len(raw); i++ {
+		if lowerASCII(raw[i]) != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
 }
 
 // noteChild credits a new element to its parent's fan-out (or the synthetic
@@ -277,7 +316,7 @@ func (sc *docScanner) startTag(s string, i int) int {
 		sc.leaf(id)
 		return j
 	}
-	if closes := autoCloseIDs[id]; closes != nil {
+	if closes := autoCloseOf(id); closes != nil {
 		for len(sc.stack) > 0 {
 			top := sc.stack[len(sc.stack)-1]
 			if !contains(closes, top) || top == tableID {
@@ -379,21 +418,34 @@ var baseNames = []string{
 }
 
 var (
-	baseIDs      = make(map[string]int32, len(baseNames))
-	baseVoid     []bool
-	baseRaw      []bool
-	autoCloseIDs map[int32][]int32
-	tableID      int32
+	// baseSlots is an open-addressed hash table over baseNames, probed by
+	// baseID: a slot holds a name's ID plus one, or 0 when empty. It stays
+	// under half full.
+	baseSlots [256]int32
+	baseVoid  []bool
+	baseRaw   []bool
+	// baseAutoClose holds, by base ID, the open element IDs an arriving
+	// start tag of that name implicitly closes.
+	baseAutoClose [][]int32
+	tableID       int32
 )
 
 func init() {
 	baseVoid = make([]bool, len(baseNames))
 	baseRaw = make([]bool, len(baseNames))
+	baseAutoClose = make([][]int32, len(baseNames))
+	if 2*len(baseNames) > len(baseSlots) {
+		panic("template: base name table over half full")
+	}
 	for i, n := range baseNames {
-		if _, dup := baseIDs[n]; dup {
+		if _, dup := baseID(n); dup {
 			panic("template: duplicate base name " + n)
 		}
-		baseIDs[n] = int32(i)
+		slot := nameHash(n) & uint32(len(baseSlots)-1)
+		for baseSlots[slot] != 0 {
+			slot = (slot + 1) & uint32(len(baseSlots)-1)
+		}
+		baseSlots[slot] = int32(i) + 1
 		baseVoid[i] = htmlparse.IsVoid(n)
 		baseRaw[i] = htmlparse.IsRawText(n)
 	}
@@ -408,8 +460,7 @@ func init() {
 			panic("template: base table lists non-void " + n)
 		}
 	}
-	tableID = baseIDs["table"]
-	autoCloseIDs = make(map[int32][]int32)
+	tableID, _ = baseID("table")
 	for arriving, closes := range map[string][]string{
 		"li":       {"li"},
 		"p":        {"p"},
@@ -426,10 +477,19 @@ func init() {
 	} {
 		var ids []int32
 		for _, c := range closes {
-			ids = append(ids, baseIDs[c])
+			id, _ := baseID(c)
+			ids = append(ids, id)
 		}
-		autoCloseIDs[baseIDs[arriving]] = ids
+		id, _ := baseID(arriving)
+		baseAutoClose[id] = ids
 	}
+}
+
+func autoCloseOf(id int32) []int32 {
+	if int(id) < len(baseAutoClose) {
+		return baseAutoClose[id]
+	}
+	return nil
 }
 
 func isVoidID(id int32) bool    { return int(id) < len(baseVoid) && baseVoid[id] }

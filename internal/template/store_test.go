@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/tagtree"
 	"repro/internal/wire"
 )
 
@@ -68,6 +69,30 @@ func TestStorePutLookup(t *testing.T) {
 	}
 	if _, ok := s.Lookup(MakeKey(FingerprintDoc("<p>other</p>"), "s")); ok {
 		t.Fatal("lookup hit for unknown key")
+	}
+}
+
+// TestStoreLookupDocSharesEntry: LookupDoc hands back the store's own entry
+// (no copy per hit), while Lookup keeps returning a private copy.
+func TestStoreLookupDocSharesEntry(t *testing.T) {
+	s, _ := Open(Config{})
+	defer s.Close()
+	doc := "<html><body><hr><hr></body></html>"
+	e := testEntry(doc, 0.99)
+	if err := s.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	salt := Salt("html", "", nil)
+	a, _, okA := s.LookupDoc(doc, salt, tagtree.Limits{})
+	b, _, okB := s.LookupDoc(doc, salt, tagtree.Limits{})
+	if !okA || !okB {
+		t.Fatal("LookupDoc missed a stored entry")
+	}
+	if a != b {
+		t.Error("LookupDoc copied the entry; want the shared stored entry")
+	}
+	if c, _ := s.Lookup(mustKey(t, e)); c == a || !c.Equal(a) {
+		t.Error("Lookup should return an equal private copy of the stored entry")
 	}
 }
 
