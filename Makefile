@@ -175,6 +175,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzByteVsStringParse$$' -fuzztime=30s ./internal/tagtree/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/ontology/
 	$(GO) test -fuzz='^FuzzDiscoverRequest$$' -fuzztime=30s ./internal/httpapi/
+	$(GO) test -fuzz='^FuzzDecodeRequestVsEncodingJSON$$' -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz='^FuzzFingerprintDoc$$' -fuzztime=30s ./internal/template/
 	$(GO) test -fuzz='^FuzzRecognizeVsReference$$' -fuzztime=30s ./internal/recognizer/
 

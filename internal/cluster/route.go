@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,12 +28,11 @@ var (
 )
 
 // routingKey derives the consistent-hash key for one discover request body.
-// A well-formed request hashes exactly like the replica's cache key; a
-// malformed one (the replica will answer 400) hashes its raw bytes — any
-// stable route is fine for an error.
+// The body is decoded by the replica's own decoder, so a request the
+// replica accepts hashes exactly like its cache key; one it rejects with
+// 400 hashes its raw bytes — any stable route is fine for an error.
 func routingKey(body []byte) fingerprint {
-	var env wire.Request
-	if json.Unmarshal(body, &env) == nil {
+	if env, err := wire.DecodeRequest(body); err == nil {
 		if mode, doc, err := env.Document(); err == nil {
 			return httpapi.RequestFingerprint(mode, doc, env.Ontology, env.SeparatorList)
 		}

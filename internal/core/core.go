@@ -427,7 +427,7 @@ func (r *Result) Answer() wire.Answer {
 		Scores:           make([]wire.Score, len(r.Scores)),
 		Rankings:         make(map[string][]wire.Rank, len(r.Rankings)),
 		Candidates:       make([]wire.Candidate, len(r.Candidates)),
-		Subtree:          r.Subtree.Name,
+		Subtree:          htmlparse.CanonicalName(r.Subtree.Name),
 		Degraded:         r.Degraded,
 		FailedHeuristics: r.FailedHeuristics,
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/htmlparse"
 	"repro/internal/ontology"
 	"repro/internal/recognizer"
 	"repro/internal/tagtree"
@@ -98,7 +99,7 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 	sub := tree.HighestFanOut()
 	if onStage != nil {
 		onStage(Stage{Name: "fanout", Duration: time.Since(start), Attrs: []string{
-			"tag", sub.Name, "fan_out", strconv.Itoa(sub.FanOut()),
+			"tag", htmlparse.CanonicalName(sub.Name), "fan_out", strconv.Itoa(sub.FanOut()),
 		}})
 		start = time.Now()
 	}

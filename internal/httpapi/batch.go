@@ -91,11 +91,11 @@ func (s server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 					attempted[i] = true
-					resp, apiErr := s.discoverOne(ctx, &req.Documents[i])
+					res, apiErr := s.discoverOne(ctx, &req.Documents[i])
 					if apiErr != nil {
 						items[i] = batchItem{Error: apiErr.err.Error()}
 					} else {
-						items[i] = batchItem{discoverResponse: resp}
+						items[i] = batchItem{discoverResponse: res.resp}
 					}
 				case <-ctx.Done():
 					return

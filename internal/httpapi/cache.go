@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/faultinject"
 	"repro/internal/journal"
@@ -33,7 +34,7 @@ import (
 // journaled round trip byte-identical — the same property the cluster
 // stream merge already relies on.
 type resultCache struct {
-	c       *lru.Cache[[sha256.Size]byte, *discoverResponse]
+	c       *lru.Cache[[sha256.Size]byte, *discoverResult]
 	metrics *obs.Registry
 	journal *journal.Journal // nil when memory-only
 
@@ -52,7 +53,7 @@ type cacheLine struct {
 // read them after <-done.
 type inflightCall struct {
 	done chan struct{}
-	resp *discoverResponse
+	res  *discoverResult
 	err  *apiError
 }
 
@@ -70,7 +71,7 @@ func newResultCache(size int, journalPath string, metrics *obs.Registry, faults 
 		return nil, nil
 	}
 	rc := &resultCache{
-		c:        lru.New[[sha256.Size]byte, *discoverResponse](size),
+		c:        lru.New[[sha256.Size]byte, *discoverResult](size),
 		metrics:  metrics,
 		inflight: make(map[[sha256.Size]byte]*inflightCall),
 	}
@@ -104,7 +105,7 @@ func (rc *resultCache) applyPut(put json.RawMessage) error {
 	if ln.Resp == nil {
 		return errors.New("cache line missing response")
 	}
-	rc.c.Add(key, ln.Resp)
+	rc.c.Add(key, &discoverResult{resp: ln.Resp})
 	return nil
 }
 
@@ -124,7 +125,7 @@ func (rc *resultCache) snapshot() []json.RawMessage {
 	items := rc.c.Items()
 	out := make([]json.RawMessage, 0, len(items))
 	for _, it := range items {
-		b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(it.Key[:]), Resp: it.Value})
+		b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(it.Key[:]), Resp: it.Value.resp})
 		if err != nil {
 			continue
 		}
@@ -171,7 +172,9 @@ func RequestFingerprint(mode, doc, ontologySrc string, separatorList []string) [
 	writeField := func(s string) {
 		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
 		h.Write(n[:])
-		h.Write([]byte(s))
+		// The hash only reads its input: hand it the string's bytes rather
+		// than a []byte copy, which would be a whole document per request.
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
 	writeField(mode)
 	writeField(doc)
@@ -186,11 +189,11 @@ func RequestFingerprint(mode, doc, ontologySrc string, separatorList []string) [
 
 // get returns the cached response for key, counting the hit or miss. A nil
 // cache misses everything and counts nothing.
-func (rc *resultCache) get(key [sha256.Size]byte) (*discoverResponse, bool) {
+func (rc *resultCache) get(key [sha256.Size]byte) (*discoverResult, bool) {
 	if rc == nil {
 		return nil, false
 	}
-	resp, ok := rc.c.Get(key)
+	res, ok := rc.c.Get(key)
 	if ok {
 		rc.metrics.Counter("boundary_cache_hits_total",
 			"Discovery requests served from the result cache.").Inc()
@@ -198,16 +201,16 @@ func (rc *resultCache) get(key [sha256.Size]byte) (*discoverResponse, bool) {
 		rc.metrics.Counter("boundary_cache_misses_total",
 			"Discovery requests that missed the result cache.").Inc()
 	}
-	return resp, ok
+	return res, ok
 }
 
-// put stores a response, counting any eviction, updating the entry gauge,
+// put stores a result, counting any eviction, updating the entry gauge,
 // and journaling both the put and any capacity eviction when durable.
-func (rc *resultCache) put(key [sha256.Size]byte, resp *discoverResponse) {
+func (rc *resultCache) put(key [sha256.Size]byte, res *discoverResult) {
 	if rc == nil {
 		return
 	}
-	evictedKey, evicted := rc.c.Add(key, resp)
+	evictedKey, evicted := rc.c.Add(key, res)
 	if evicted {
 		rc.metrics.Counter("boundary_cache_evictions_total",
 			"Result-cache entries evicted to make room.").Inc()
@@ -220,7 +223,7 @@ func (rc *resultCache) put(key [sha256.Size]byte, resp *discoverResponse) {
 	if evicted {
 		rc.journal.AppendEvict(hex.EncodeToString(evictedKey[:]), rc.c.Len())
 	}
-	if b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(key[:]), Resp: resp}); err == nil {
+	if b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(key[:]), Resp: res.resp}); err == nil {
 		rc.journal.Append(b, rc.c.Len())
 	}
 }
@@ -243,13 +246,13 @@ func (rc *resultCache) join(key [sha256.Size]byte) (call *inflightCall, leader b
 // in-flight entry. Successful, non-degraded responses are cached; degraded
 // ones are not — a later retry with all heuristics healthy should get the
 // chance to compute (and then cache) the full answer.
-func (rc *resultCache) complete(key [sha256.Size]byte, call *inflightCall, resp *discoverResponse, err *apiError) {
-	if err == nil && resp != nil && !resp.Degraded {
-		rc.put(key, resp)
+func (rc *resultCache) complete(key [sha256.Size]byte, call *inflightCall, res *discoverResult, err *apiError) {
+	if err == nil && res != nil && !res.resp.Degraded {
+		rc.put(key, res)
 	}
 	rc.mu.Lock()
 	delete(rc.inflight, key)
 	rc.mu.Unlock()
-	call.resp, call.err = resp, err
+	call.res, call.err = res, err
 	close(call.done)
 }

@@ -20,6 +20,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,6 +29,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/certainty"
@@ -255,11 +257,25 @@ func (s server) pipelineOptions(ctx context.Context, ont *ontology.Ontology, sep
 // indent) with the given status. The cluster router writes its own bodies
 // through it too, so every JSON response renders alike.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, renderJSON(v))
+}
+
+// renderJSON returns v in the service's JSON body encoding: two-space
+// indent and a trailing newline, byte-identical to a json.Encoder with
+// SetIndent("", "  "). A value that cannot be encoded renders as no bytes.
+func renderJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil
+	}
+	return append(b, '\n')
+}
+
+// writeBody writes an already rendered JSON body with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers already sent; nothing useful to do on error
+	_, _ = w.Write(body) // headers already sent; nothing useful to do on error
 }
 
 // WriteError writes the uniform error body with the given status.
@@ -273,23 +289,32 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", maxErr.Limit))
-			return false
-		}
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
+	return decodeOK(w, dec.Decode(v))
 }
 
-// decode parses the shared request envelope.
+// decodeOK answers a body-decoding error — 413 when the body exceeded
+// MaxBodyBytes, 400 otherwise — and reports whether there was none.
+func decodeOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", maxErr.Limit))
+		return false
+	}
+	WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
+// decode parses the shared request envelope. The body is read to its end
+// (or to MaxBodyBytes) into a pooled buffer and decoded in one pass by
+// wire.ReadRequest; accepted values, statuses and error texts are exactly
+// decodeJSON's.
 func decode(w http.ResponseWriter, r *http.Request) (*wire.Request, bool) {
-	var req wire.Request
-	if !decodeJSON(w, r, &req) {
+	req, err := wire.ReadRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if !decodeOK(w, err) {
 		return nil, false
 	}
 	return &req, true
@@ -300,6 +325,31 @@ func decode(w http.ResponseWriter, r *http.Request) (*wire.Request, bool) {
 type discoverResponse struct {
 	wire.Answer
 	Explain *core.Explanation `json:"explain,omitempty"`
+}
+
+// discoverResult is one /v1/discover answer as the result cache holds it:
+// the response, and its rendered body, produced on first use and then
+// served as stored bytes by every later hit. Batch items and the cache
+// journal use the response; the body is only ever written to a client.
+type discoverResult struct {
+	resp     *discoverResponse
+	render   sync.Once
+	rendered []byte
+}
+
+// newDiscoverResult wraps a computed response, passing errors through.
+func newDiscoverResult(resp *discoverResponse, apiErr *apiError) (*discoverResult, *apiError) {
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	return &discoverResult{resp: resp}, nil
+}
+
+// body returns the response rendered as WriteJSON renders it, exactly
+// sized since a cached result keeps it for its lifetime.
+func (d *discoverResult) body() []byte {
+	d.render.Do(func() { d.rendered = bytes.Clone(renderJSON(d.resp)) })
+	return d.rendered
 }
 
 // apiError pairs a client-visible error with the HTTP status it maps to.
@@ -343,25 +393,25 @@ func pipelineError(err error) *apiError {
 // one leader computes while followers wait on its result (see
 // resultCache.join), so a thundering herd for a hot document costs one
 // pipeline run instead of N.
-func (s server) discoverOne(ctx context.Context, req *wire.Request) (*discoverResponse, *apiError) {
+func (s server) discoverOne(ctx context.Context, req *wire.Request) (*discoverResult, *apiError) {
 	mode, doc, err := req.Document()
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err}
 	}
 	if s.cache == nil {
-		return s.computeDiscover(ctx, mode, doc, req)
+		return newDiscoverResult(s.computeDiscover(ctx, mode, doc, req))
 	}
 	key := RequestFingerprint(mode, doc, req.Ontology, req.SeparatorList)
 	for {
-		if resp, ok := s.cache.get(key); ok {
+		if res, ok := s.cache.get(key); ok {
 			obs.TraceFrom(ctx).Add("cache/hit", 0)
-			return resp, nil
+			return res, nil
 		}
 		call, leader := s.cache.join(key)
 		if leader {
-			resp, apiErr := s.computeDiscover(ctx, mode, doc, req)
-			s.cache.complete(key, call, resp, apiErr)
-			return resp, apiErr
+			res, apiErr := newDiscoverResult(s.computeDiscover(ctx, mode, doc, req))
+			s.cache.complete(key, call, res, apiErr)
+			return res, apiErr
 		}
 		s.cache.metrics.Counter("boundary_cache_inflight_dedup_total",
 			"Discovery requests answered by waiting on an identical in-flight computation.").Inc()
@@ -373,7 +423,7 @@ func (s server) discoverOne(ctx context.Context, req *wire.Request) (*discoverRe
 				// cache check, then leadership election.
 				continue
 			}
-			return call.resp, call.err
+			return call.res, call.err
 		case <-ctx.Done():
 			return nil, pipelineError(ctx.Err())
 		}
@@ -485,12 +535,12 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.handleDiscoverExplain(w, r, req)
 		return
 	}
-	resp, apiErr := s.discoverOne(r.Context(), req)
+	res, apiErr := s.discoverOne(r.Context(), req)
 	if apiErr != nil {
 		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, res.body())
 }
 
 // handleDiscoverExplain is /v1/discover?explain=1: the same discovery, with

@@ -292,32 +292,39 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	// Snapshot every family's series under the lock: a first use of a new
+	// label set writes the series map, so ranging over it unlocked can
+	// crash the process. Values are read atomically after.
+	type entry struct {
+		key string
+		s   *series
 	}
-	sort.Strings(names)
-	// Snapshot series lists under the lock; values are read atomically after.
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
+	type snapshot struct {
+		f      *family
+		series []entry
+	}
+	r.mu.Lock()
+	fams := make([]snapshot, 0, len(r.families))
+	for _, f := range r.families {
+		snap := snapshot{f: f, series: make([]entry, 0, len(f.series))}
+		for k, s := range f.series {
+			snap.series = append(snap.series, entry{k, s})
+		}
+		fams = append(fams, snap)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
 
 	var b strings.Builder
-	for _, f := range fams {
+	for _, snap := range fams {
+		f := snap.f
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
+		sort.Slice(snap.series, func(i, j int) bool { return snap.series[i].key < snap.series[j].key })
+		for _, e := range snap.series {
+			k, s := e.key, e.s
 			switch v := s.value.(type) {
 			case *Counter:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, k, formatFloat(v.Value()))

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -133,20 +132,27 @@ func (s *TraceStore) pushDuration(d TraceData) {
 
 // isSlow reports whether dur falls in the slowest SlowFraction of the
 // recent-traffic window. With fewer than 20 samples there is no meaningful
-// tail yet and nothing is considered slow.
+// tail yet and nothing is considered slow. The threshold is the window's
+// idx-th smallest sample; rather than sorting a copy of the window on
+// every request, one counting pass uses that dur reaches it exactly when
+// at least idx+1 samples are <= dur.
 func (s *TraceStore) isSlow(dur time.Duration) bool {
 	n := min(s.recentN, slowWindow)
 	if n < 20 {
 		return false
 	}
-	window := make([]float64, n)
-	copy(window, s.recent[:n])
-	sort.Float64s(window)
 	idx := int(float64(n) * (1 - s.cfg.SlowFraction))
 	if idx >= n {
 		idx = n - 1
 	}
-	return dur.Seconds() >= window[idx]
+	d := dur.Seconds()
+	atOrBelow := 0
+	for _, v := range s.recent[:n] {
+		if v <= d {
+			atOrBelow++
+		}
+	}
+	return atOrBelow > idx
 }
 
 // Len returns the number of traces currently retained.

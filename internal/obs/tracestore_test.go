@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -242,5 +244,61 @@ func TestNilTraceStoreIsNoOp(t *testing.T) {
 	}
 	if _, ok := s.Get(TraceID{1}); ok {
 		t.Error("nil store Get must miss")
+	}
+}
+
+// isSlowBySort is the original slow-tail rule: sort a copy of the window
+// and compare dur with the sample at the SlowFraction cut.
+func isSlowBySort(window []float64, fraction float64, dur time.Duration) bool {
+	n := len(window)
+	if n < 20 {
+		return false
+	}
+	sorted := append([]float64(nil), window...)
+	sort.Float64s(sorted)
+	idx := int(float64(n) * (1 - fraction))
+	if idx >= n {
+		idx = n - 1
+	}
+	return dur.Seconds() >= sorted[idx]
+}
+
+// TestIsSlowMatchesSortRule: the counting pass gives the sort-based rule's
+// answer on random windows (full and partial, with ties), fractions and
+// durations, including durations equal to a sample.
+func TestIsSlowMatchesSortRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		s := NewTraceStore(TraceStoreConfig{SlowFraction: -1})
+		s.cfg.SlowFraction = []float64{0.01, 0.1, 0.5, 0.99, 1, rng.Float64()}[trial%6]
+		samples := rng.Intn(2*slowWindow + 1)
+		levels := 1 + rng.Intn(40) // few levels force ties
+		for i := 0; i < samples; i++ {
+			s.recent[s.recentN%slowWindow] = (time.Duration(rng.Intn(levels)) * time.Millisecond).Seconds()
+			s.recentN++
+		}
+		window := s.recent[:min(s.recentN, slowWindow)]
+		for probe := 0; probe < 10; probe++ {
+			dur := time.Duration(rng.Intn(levels+1)) * time.Millisecond
+			if probe%3 == 0 {
+				dur += time.Duration(rng.Intn(int(time.Millisecond)))
+			}
+			if got, want := s.isSlow(dur), isSlowBySort(window, s.cfg.SlowFraction, dur); got != want {
+				t.Fatalf("window of %d, fraction %v, dur %v: isSlow = %v, sort rule = %v",
+					len(window), s.cfg.SlowFraction, dur, got, want)
+			}
+		}
+	}
+}
+
+// TestIsSlowAllocatesNothing pins the per-request cost of the slow check.
+func TestIsSlowAllocatesNothing(t *testing.T) {
+	s := NewTraceStore(TraceStoreConfig{})
+	for i := 0; i < slowWindow; i++ {
+		s.recent[i] = float64(i) / 1000
+	}
+	s.recentN = slowWindow
+	if allocs := testing.AllocsPerRun(100, func() { s.isSlow(100 * time.Millisecond) }); allocs != 0 {
+		t.Fatalf("isSlow allocates %v times, want 0", allocs)
 	}
 }

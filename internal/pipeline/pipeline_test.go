@@ -16,6 +16,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // figure2ish is a small hr-delimited document every heuristic handles.
@@ -347,6 +348,66 @@ func TestNDJSONSourceEnvelope(t *testing.T) {
 	for i, tk := range tasks {
 		if tk.Seq != i {
 			t.Errorf("task %d seq = %d; invalid lines must still consume a seq", i, tk.Seq)
+		}
+	}
+}
+
+// TestNDJSONSourceMatchesUnmarshal: every line decodes to what
+// json.Unmarshal gives — the one-pass common shape, the fallback shapes
+// (unknown keys, case-folded keys, duplicates), lines longer than the read
+// buffer — and the tasks keep their strings after the buffers are reused.
+// Error texts name the envelope type as they always have.
+func TestNDJSONSourceMatchesUnmarshal(t *testing.T) {
+	long := func(n int) string {
+		b, _ := json.Marshal(wire.TaskLine{ID: fmt.Sprint("long", n),
+			Request: wire.Request{HTML: strings.Repeat("<p>x&y é", n/10)}})
+		return string(b)
+	}
+	lines := []string{
+		long(200_000),
+		`{"id":"a","html":"\u003cp\u003ex","ontology":"obituary","shard":"s1","separator_list":["p"]}`,
+		`{"HTML":"<p>x","Id":"b"}`,
+		`{"html":"<p>1","html":"<p>2","extra":{"k":[1,null]}}`,
+		long(70_000),
+		`{"shard":"s","xml":"<f><e>1</e></f>","separator_list":[]}`,
+		long(100),
+	}
+	src := NewNDJSONSource(strings.NewReader(strings.Join(lines, "\n")), 0)
+	var tasks []*Task
+	for {
+		tk, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, tk)
+	}
+	if len(tasks) != len(lines) {
+		t.Fatalf("got %d tasks, want %d", len(tasks), len(lines))
+	}
+	for i, line := range lines {
+		var want wire.TaskLine
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatal(err)
+		}
+		mode, doc, _ := want.Document()
+		tk := tasks[i]
+		if tk.invalid != nil || tk.ID != want.ID || tk.Shard != want.Shard || tk.Ontology != want.Ontology ||
+			tk.Mode != mode || tk.Doc != doc || fmt.Sprintf("%#v", tk.SeparatorList) != fmt.Sprintf("%#v", want.SeparatorList) {
+			t.Errorf("line %d: task %+v, want %+v", i, tk, want)
+		}
+	}
+
+	for line, want := range map[string]string{
+		`{"html":1}`:        "bad input line: json: cannot unmarshal number into Go struct field taskLine.Request.html of type string",
+		`[1]`:               "bad input line: json: cannot unmarshal array into Go value of type pipeline.taskLine",
+		`{"html":"x"} junk`: "bad input line: invalid character 'j' after top-level value",
+	} {
+		tk, err := NewNDJSONSource(strings.NewReader(line), 0).Next()
+		if err != nil || tk.invalid == nil || tk.invalid.Error() != want {
+			t.Errorf("%s: task error %v (source error %v), want %q", line, tk.invalid, err, want)
 		}
 	}
 }

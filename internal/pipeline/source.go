@@ -27,19 +27,22 @@ type Source interface {
 // choose a limit — the same envelope the HTTP surface enforces per body.
 const DefaultMaxLineBytes = 8 << 20
 
-// taskLine is the NDJSON input envelope: the /v1/discover request plus the
-// bulk id and shard labels.
-type taskLine struct {
-	ID string `json:"id,omitempty"`
-	wire.Request
-	Shard string `json:"shard,omitempty"`
-}
+// taskLine is the NDJSON input envelope as encoding/json decodes the lines
+// outside wire.DecodeTaskLine's common shape; its name is part of the
+// error texts written on bulk and stream lines.
+type taskLine wire.TaskLine
 
 // NDJSONSource reads one task per JSON line. Blank lines are skipped; a
 // malformed or oversized line becomes a Task with an inline error rather
 // than ending the stream, so a single corrupt record cannot sink a corpus
 // run. Sequence numbers count every non-blank line (including invalid
 // ones), keeping Seq assignment stable across resumed runs.
+//
+// Lines are decoded by wire.DecodeTaskLine (the one-pass envelope decoder,
+// with json.Unmarshal's semantics) or json.Unmarshal straight from the read
+// buffer, which is reused line after line: a task's strings are copies and
+// never alias it. Lines longer than the read buffer are assembled in a
+// fresh slice.
 type NDJSONSource struct {
 	r       *bufio.Reader
 	maxLine int
@@ -47,13 +50,17 @@ type NDJSONSource struct {
 	done    bool
 }
 
+// ndjsonReadBuffer sizes the line reader so a typical document's line
+// arrives in one read-buffer slice, decoded without a copy.
+const ndjsonReadBuffer = 64 << 10
+
 // NewNDJSONSource wraps r; maxLine bounds one line's bytes (0 selects
 // DefaultMaxLineBytes).
 func NewNDJSONSource(r io.Reader, maxLine int) *NDJSONSource {
 	if maxLine <= 0 {
 		maxLine = DefaultMaxLineBytes
 	}
-	return &NDJSONSource{r: bufio.NewReader(r), maxLine: maxLine}
+	return &NDJSONSource{r: bufio.NewReaderSize(r, ndjsonReadBuffer), maxLine: maxLine}
 }
 
 // Next returns the next task or io.EOF.
@@ -79,10 +86,12 @@ func (s *NDJSONSource) Next() (*Task, error) {
 			t.invalid = fmt.Errorf("input line exceeds the %d-byte limit", s.maxLine)
 			return t, nil
 		}
-		var tl taskLine
-		if err := json.Unmarshal(line, &tl); err != nil {
-			t.invalid = fmt.Errorf("bad input line: %w", err)
-			return t, nil
+		tl, ok := wire.DecodeTaskLine(line)
+		if !ok {
+			if err := json.Unmarshal(line, (*taskLine)(&tl)); err != nil {
+				t.invalid = fmt.Errorf("bad input line: %w", err)
+				return t, nil
+			}
 		}
 		t.ID = tl.ID
 		t.Ontology = tl.Ontology
@@ -93,13 +102,21 @@ func (s *NDJSONSource) Next() (*Task, error) {
 	}
 }
 
-// readLine reads up to the next newline. When the line exceeds maxLine it is
-// drained and reported with tooLong=true so the stream can continue at the
-// following line.
+// readLine reads up to the next newline. The line is valid until the next
+// call: it is a slice of the read buffer when it fits there, else a fresh
+// copy.
+// When the line exceeds maxLine it is drained and reported with
+// tooLong=true so the stream can continue at the following line.
 func (s *NDJSONSource) readLine() (line []byte, tooLong bool, err error) {
+	frag, err := s.r.ReadSlice('\n')
+	if !errors.Is(err, bufio.ErrBufferFull) {
+		if len(frag) > s.maxLine {
+			return nil, true, err
+		}
+		return frag, false, err
+	}
 	var buf []byte
 	for {
-		frag, err := s.r.ReadSlice('\n')
 		if !tooLong {
 			buf = append(buf, frag...)
 			if len(buf) > s.maxLine {
@@ -107,15 +124,15 @@ func (s *NDJSONSource) readLine() (line []byte, tooLong bool, err error) {
 				buf = nil
 			}
 		}
-		switch {
-		case err == nil:
-			return buf, tooLong, nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		default:
-			return buf, tooLong, err
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			break
 		}
+		frag, err = s.r.ReadSlice('\n')
 	}
+	if tooLong {
+		return nil, true, err
+	}
+	return buf, false, err
 }
 
 // DirSource yields one task per document file in dir (non-recursive), sorted

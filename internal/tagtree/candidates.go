@@ -1,6 +1,10 @@
 package tagtree
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/htmlparse"
+)
 
 // DefaultCandidateThreshold is the paper's 10% rule: a start-tag appearing
 // fewer than threshold × (total tags in the subtree) times is irrelevant.
@@ -32,6 +36,11 @@ func TagCounts(n *Node) map[string]int {
 // of tags in the subtree). Pass DefaultCandidateThreshold for the paper's
 // 10% rule. The result is sorted by descending count, ties broken by name,
 // so it is deterministic.
+//
+// Candidate names are canonicalized (htmlparse.CanonicalName): a tree's
+// names can be views of its document, and every tag in a discovery answer
+// comes from here, so answers kept in caches and stores never pin the
+// request document.
 func Candidates(n *Node, threshold float64) []Candidate {
 	counts := TagCounts(n)
 	total := n.SubtreeTagCount()
@@ -39,7 +48,7 @@ func Candidates(n *Node, threshold float64) []Candidate {
 	out := make([]Candidate, 0, len(counts))
 	for name, c := range counts {
 		if float64(c) >= cutoff {
-			out = append(out, Candidate{Name: name, Count: c})
+			out = append(out, Candidate{Name: htmlparse.CanonicalName(name), Count: c})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

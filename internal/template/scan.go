@@ -126,12 +126,12 @@ func (sc *docScanner) name(id int32) string {
 
 // intern returns the ID of the lowercased tag name raw.
 func (sc *docScanner) intern(raw string) int32 {
-	if id, ok := baseID(raw); ok {
+	if id, ok := htmlparse.ElementID(raw); ok {
 		return id
 	}
 	sc.nbuf = sc.nbuf[:0]
 	for i := 0; i < len(raw); i++ {
-		sc.nbuf = append(sc.nbuf, lowerASCII(raw[i]))
+		sc.nbuf = append(sc.nbuf, htmlparse.LowerASCII(raw[i]))
 	}
 	if id, ok := sc.extra[string(sc.nbuf)]; ok {
 		return id
@@ -144,49 +144,6 @@ func (sc *docScanner) intern(raw string) int32 {
 	sc.extraNames = append(sc.extraNames, name)
 	sc.extra[name] = id
 	return id
-}
-
-// baseID looks the tag name raw up in the built-in table, ignoring ASCII
-// case. Every start and end tag takes this path, so it hashes and compares
-// raw in place rather than lowercasing a copy for a map lookup.
-func baseID(raw string) (int32, bool) {
-	const mask = uint32(len(baseSlots) - 1)
-	for i := nameHash(raw) & mask; ; i = (i + 1) & mask {
-		slot := baseSlots[i]
-		if slot == 0 {
-			return 0, false
-		}
-		if n := baseNames[slot-1]; len(n) == len(raw) && equalLowerASCII(raw, n) {
-			return slot - 1, true
-		}
-	}
-}
-
-// nameHash is FNV-1a over the ASCII-lowercased bytes of name.
-func nameHash(name string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(lowerASCII(name[i]))) * 16777619
-	}
-	return h
-}
-
-// equalLowerASCII reports whether raw, ASCII-lowercased, equals lower, a
-// lowercase name of the same length.
-func equalLowerASCII(raw, lower string) bool {
-	for i := 0; i < len(raw); i++ {
-		if lowerASCII(raw[i]) != lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func lowerASCII(c byte) byte {
-	if c >= 'A' && c <= 'Z' {
-		c += 'a' - 'A'
-	}
-	return c
 }
 
 // noteChild credits a new element to its parent's fan-out (or the synthetic
@@ -394,36 +351,15 @@ func (sc *docScanner) appendEvents(buf []byte, from, to int32) []byte {
 // rootName matches the tagtree synthetic document root.
 const rootName = "#document"
 
-// The built-in name table: fixed IDs shared by every scan so the hot path
-// never allocates a tag name. It must cover every name with normalization
-// semantics (voids, raw-text elements, optional-end-tag participants); other
-// common names are included purely to dodge the per-scan intern path.
-var baseNames = []string{
-	// Voids (htmlparse.IsVoid must hold for each).
-	"area", "base", "basefont", "bgsound", "br", "col", "embed", "frame",
-	"hr", "img", "input", "isindex", "keygen", "link", "meta", "param",
-	"source", "spacer", "track", "wbr",
-	// Raw-text elements (htmlparse.IsRawText).
-	"script", "style", "textarea", "title", "xmp", "plaintext",
-	// Optional-end-tag participants (tagtree's autoClose) and the table
-	// scope barrier.
-	"li", "p", "dt", "dd", "option", "tr", "td", "th", "thead", "tbody",
-	"tfoot", "colgroup", "table",
-	// Common structural names.
-	"html", "head", "body", "div", "span", "a", "b", "i", "u", "em",
-	"strong", "font", "center", "ul", "ol", "dl", "h1", "h2", "h3", "h4",
-	"h5", "h6", "form", "select", "blockquote", "pre", "tt", "small",
-	"big", "strike", "code", "address", "caption", "label", "fieldset",
-	"article", "section", "nav", "header", "footer", "main", "aside",
-}
+// baseNames is the built-in name table, htmlparse's element-name table:
+// fixed IDs shared by every scan so the hot path never allocates a tag
+// name. It covers every name with normalization semantics (voids, raw-text
+// elements, optional-end-tag participants).
+var baseNames = htmlparse.ElementNames()
 
 var (
-	// baseSlots is an open-addressed hash table over baseNames, probed by
-	// baseID: a slot holds a name's ID plus one, or 0 when empty. It stays
-	// under half full.
-	baseSlots [256]int32
-	baseVoid  []bool
-	baseRaw   []bool
+	baseVoid []bool
+	baseRaw  []bool
 	// baseAutoClose holds, by base ID, the open element IDs an arriving
 	// start tag of that name implicitly closes.
 	baseAutoClose [][]int32
@@ -434,18 +370,7 @@ func init() {
 	baseVoid = make([]bool, len(baseNames))
 	baseRaw = make([]bool, len(baseNames))
 	baseAutoClose = make([][]int32, len(baseNames))
-	if 2*len(baseNames) > len(baseSlots) {
-		panic("template: base name table over half full")
-	}
 	for i, n := range baseNames {
-		if _, dup := baseID(n); dup {
-			panic("template: duplicate base name " + n)
-		}
-		slot := nameHash(n) & uint32(len(baseSlots)-1)
-		for baseSlots[slot] != 0 {
-			slot = (slot + 1) & uint32(len(baseSlots)-1)
-		}
-		baseSlots[slot] = int32(i) + 1
 		baseVoid[i] = htmlparse.IsVoid(n)
 		baseRaw[i] = htmlparse.IsRawText(n)
 	}
@@ -460,7 +385,7 @@ func init() {
 			panic("template: base table lists non-void " + n)
 		}
 	}
-	tableID, _ = baseID("table")
+	tableID, _ = htmlparse.ElementID("table")
 	for arriving, closes := range map[string][]string{
 		"li":       {"li"},
 		"p":        {"p"},
@@ -477,10 +402,10 @@ func init() {
 	} {
 		var ids []int32
 		for _, c := range closes {
-			id, _ := baseID(c)
+			id, _ := htmlparse.ElementID(c)
 			ids = append(ids, id)
 		}
-		id, _ := baseID(arriving)
+		id, _ := htmlparse.ElementID(arriving)
 		baseAutoClose[id] = ids
 	}
 }

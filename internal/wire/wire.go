@@ -6,6 +6,9 @@
 // Extractor hands downstream (Figure 1, §5.3): the separator, the candidate
 // tags, each heuristic's ranking and the compound certainty factors.
 //
+// DecodeRequest, ReadRequest and DecodeTaskLine decode the envelope in one
+// pass, with encoding/json's exact results (decode.go).
+//
 // The package is a leaf: it imports nothing from this module, so every
 // layer — core, template, pipeline, httpapi, cluster — can share it
 // without an import cycle. core.Result.Answer is the one conversion from a
