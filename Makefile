@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test testshort race shuffle cover cover-pipeline cover-eval bench bench-smoke bench-gate throughput-gate evalrun quality-gate cluster obs-smoke wrapper-smoke membership-smoke fuzz chaos experiments corpus examples clean
+.PHONY: all build test testshort race shuffle cover cover-pipeline cover-eval bench bench-smoke bench-gate throughput-gate evalrun quality-gate cluster obs-smoke obs-gates wrapper-smoke membership-smoke fuzz chaos experiments corpus examples clean
 
 all: build test
 
@@ -142,6 +142,15 @@ obs-smoke:
 	$(GO) test -race -run 'TestObservabilitySmoke' -v ./cmd/serve/
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'Trace|Federat|Explain' ./internal/cluster/
+
+# What instrumentation costs (see docs/OBSERVABILITY.md), without -race:
+# the race detector's own allocations and slowdown make these gates skip
+# there. A repeated registry lookup allocates nothing, a warmed registry
+# adds no allocation to discovery, the deployed cache-miss ceiling, and
+# the in-run observed/bare throughput ratios.
+obs-gates:
+	$(GO) test -count=1 -run 'TestRepeatedLookupAllocs' ./internal/obs/
+	$(GO) test -count=1 -run 'TestDiscoverAllocs|TestDiscoverCacheMissAllocs|TestObservedThroughputGate' -v .
 
 # Learned-wrapper smoke (see docs/WRAPPER.md): boots cmd/serve with a
 # wrapper store on disk, sends the same document twice, and checks the

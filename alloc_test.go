@@ -18,6 +18,8 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -26,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/httpapi"
+	"repro/internal/obs"
 	"repro/internal/tagtree"
 	"repro/internal/template"
 )
@@ -70,6 +73,49 @@ func TestDiscoverAllocs(t *testing.T) {
 		})
 		if got > ceiling {
 			t.Errorf("DiscoverBytes (no ontology) allocates %.0f/run, ceiling %d", got, ceiling)
+		}
+	})
+
+	t.Run("Metrics", func(t *testing.T) {
+		// A warmed registry adds nothing: every stage, heuristic and
+		// outcome series is indexed after the first call, so the lookups
+		// allocate 0 and no span attribute is built without a trace.
+		want := testing.AllocsPerRun(50, func() {
+			if _, err := core.DiscoverBytes(doc, core.Options{Arena: arena}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		opts := core.Options{Arena: arena, Metrics: obs.NewRegistry()}
+		for i := 0; i < 2; i++ { // register every series, then publish the index
+			if _, err := core.DiscoverBytes(doc, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := core.DiscoverBytes(doc, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("DiscoverBytes (warmed registry) allocates %.0f/run, want %.0f as without metrics", got, want)
+		}
+	})
+
+	t.Run("MetricsAndTrace", func(t *testing.T) {
+		// A fresh trace per document, as a traced request pays: the trace,
+		// one span per stage and the stage attributes, on top of the
+		// NoOntology count. Measured 107 (234 before repeat metric lookups
+		// were indexed and stage attributes were built only for a trace).
+		const ceiling = 128
+		opts := core.Options{Arena: arena, Metrics: obs.NewRegistry()}
+		got := testing.AllocsPerRun(50, func() {
+			opts.Trace = obs.NewTrace()
+			if _, err := core.DiscoverBytes(doc, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("DiscoverBytes (metrics and trace) allocates %.0f/run, ceiling %d", got, ceiling)
 		}
 	})
 
@@ -180,6 +226,63 @@ func TestDiscoverCacheHitAllocs(t *testing.T) {
 		t.Errorf("/v1/discover cache hit allocates %.0f/run, ceiling %d", got, ceiling)
 	}
 	t.Logf("/v1/discover cache hit: %.0f allocs/run", got)
+}
+
+// TestDiscoverCacheMissAllocs gates a /v1/discover result-cache miss
+// through the handler as deployed: JSON request logs, a metrics registry,
+// a trace store and the result cache. Two documents alternate through a
+// one-entry cache, so every request misses, runs full discovery and evicts.
+// The bare handler (no logger, metrics or traces) is logged beside it: the
+// difference is what observability costs per request. Measured 162
+// deployed against 133 bare on the first two seed corpus documents (311
+// deployed before repeat metric lookups were indexed and stage attributes
+// were built only for a trace).
+func TestDiscoverCacheMissAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const ceiling = 195
+	docs := corpus.TestDocuments()[:2]
+	bodies := make([][]byte, len(docs))
+	for i, d := range docs {
+		b, err := json.Marshal(map[string]string{"html": d.HTML})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	measure := func(cfg httpapi.Config) float64 {
+		h := httpapi.NewHandler(cfg)
+		w := &hitRecorder{h: make(http.Header)}
+		rd := bytes.NewReader(nil)
+		req := httptest.NewRequest(http.MethodPost, "/v1/discover", rd)
+		n := 0
+		serve := func() {
+			rd.Reset(bodies[n%len(bodies)])
+			n++
+			clear(w.h)
+			w.status = 0
+			w.body.Reset()
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("status %d: %s", w.status, w.body.String())
+			}
+		}
+		for range 2 * len(bodies) { // register every series, then publish the index
+			serve()
+		}
+		return testing.AllocsPerRun(100, serve)
+	}
+	bare := measure(httpapi.Config{CacheSize: 1})
+	deployed := measure(httpapi.Config{
+		Logger:    slog.New(slog.NewJSONHandler(io.Discard, nil)),
+		Metrics:   obs.NewRegistry(),
+		Traces:    obs.NewTraceStore(obs.TraceStoreConfig{Capacity: 512}),
+		Service:   "boundary",
+		CacheSize: 1,
+	})
+	t.Logf("/v1/discover cache miss: %.0f allocs/run deployed, %.0f bare", deployed, bare)
+	if deployed > ceiling {
+		t.Errorf("/v1/discover cache miss (deployed) allocates %.0f/run, ceiling %d", deployed, ceiling)
+	}
 }
 
 // TestArenaReleaseDoesNotCorruptWireResults is the consumer-side half of the

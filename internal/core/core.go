@@ -93,11 +93,12 @@ type Options struct {
 // observed reports whether any observability sink is attached.
 func (o Options) observed() bool { return o.Trace != nil || o.Metrics != nil }
 
-// recordStage files one completed stage with both sinks. Stage latencies
-// use the microsecond-scale StageBuckets — whole stages finish far below
-// the HTTP-oriented default bucket floor.
-func (o Options) recordStage(name string, d time.Duration, attrs ...string) {
-	o.Trace.Add(name, d, attrs...)
+// observeStage files one completed stage's latency with the metrics sink.
+// Stage latencies use the microsecond-scale StageBuckets — whole stages
+// finish far below the HTTP-oriented default bucket floor. Callers add the
+// stage's trace span themselves, formatting its attributes only when
+// o.Trace is set.
+func (o Options) observeStage(name string, d time.Duration) {
 	o.Metrics.Histogram("boundary_stage_duration_seconds",
 		"Pipeline stage latency in seconds, by stage.", obs.StageBuckets,
 		"stage", name).Observe(d.Seconds())
@@ -202,8 +203,11 @@ func DiscoverContext(ctx context.Context, doc string, opts Options) (*Result, er
 		return nil, opts.failDocument(err)
 	}
 	if opts.observed() {
-		opts.recordStage("parse", time.Since(start),
-			"mode", "html", "bytes", strconv.Itoa(len(doc)))
+		d := time.Since(start)
+		opts.observeStage("parse", d)
+		if opts.Trace != nil {
+			opts.Trace.Add("parse", d, "mode", "html", "bytes", strconv.Itoa(len(doc)))
+		}
 	}
 	return DiscoverTreeContext(ctx, tree, opts)
 }
@@ -248,8 +252,11 @@ func DiscoverXMLContext(ctx context.Context, doc string, opts Options) (*Result,
 		return nil, opts.failDocument(err)
 	}
 	if opts.observed() {
-		opts.recordStage("parse", time.Since(start),
-			"mode", "xml", "bytes", strconv.Itoa(len(doc)))
+		d := time.Since(start)
+		opts.observeStage("parse", d)
+		if opts.Trace != nil {
+			opts.Trace.Add("parse", d, "mode", "xml", "bytes", strconv.Itoa(len(doc)))
+		}
 	}
 	return DiscoverTreeContext(ctx, tree, opts)
 }
@@ -288,9 +295,12 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 			default:
 				res := resultFromEntry(e, tree, hfo)
 				if opts.observed() {
-					opts.recordStage("template/hit", time.Since(start),
-						"separator", res.Separator,
-						"cf", fmt.Sprintf("%.4f", e.Certainty))
+					d := time.Since(start)
+					opts.observeStage("template/hit", d)
+					if opts.Trace != nil {
+						opts.Trace.Add("template/hit", d,
+							"separator", res.Separator, "cf", formatCF(e.Certainty))
+					}
 				}
 				opts.countDocument("ok")
 				return res, nil
@@ -306,7 +316,12 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	}
 	var onStage heuristic.StageFunc
 	if opts.observed() {
-		onStage = func(s heuristic.Stage) { opts.recordStage(s.Name, s.Duration, s.Attrs...) }
+		onStage = func(s heuristic.Stage) {
+			opts.observeStage(s.Name, s.Duration)
+			if opts.Trace != nil {
+				opts.Trace.Add(s.Name, s.Duration, s.Attrs()...)
+			}
+		}
 	}
 	hctx, err := heuristic.NewContextCtx(ctx, tree, opts.threshold(), ont, onStage, opts.Faults)
 	if err != nil {
@@ -394,9 +409,12 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 		}
 	}
 	if opts.observed() {
-		opts.recordStage("combine", time.Since(start),
-			"separator", res.Separator,
-			"cf", fmt.Sprintf("%.4f", res.Scores[0].CF))
+		d := time.Since(start)
+		opts.observeStage("combine", d)
+		if opts.Trace != nil {
+			opts.Trace.Add("combine", d,
+				"separator", res.Separator, "cf", formatCF(res.Scores[0].CF))
+		}
 	}
 	if res.Degraded {
 		opts.Trace.SetStatus(obs.StatusDegraded,
@@ -552,19 +570,37 @@ func (o Options) countDocument(outcome string) {
 		"outcome", outcome).Inc()
 }
 
+// heuristicStages maps each heuristic to its trace span and stage-metric
+// name, heuristic/<name>, built once rather than concatenated per document.
+var heuristicStages = func() map[string]string {
+	m := make(map[string]string, len(certainty.AllHeuristics))
+	for _, name := range certainty.AllHeuristics {
+		m[name] = "heuristic/" + name
+	}
+	return m
+}()
+
+// formatCF renders a certainty factor for a span attribute, as "%.4f" does.
+func formatCF(cf float64) string {
+	var buf [24]byte
+	return string(strconv.AppendFloat(buf[:0], cf, 'f', 4, 64))
+}
+
 // observeHeuristic files one heuristic's answer (decline, or isolated
 // panic) with both sinks: a trace span named heuristic/<name>, a
 // stage-latency observation, and run/decline/panic counters.
 func (o Options) observeHeuristic(a heuristicAnswer) {
-	stage := "heuristic/" + a.name
-	attrs := []string{"declined", "true", "reason", a.reason}
+	stage := heuristicStages[a.name]
+	o.observeStage(stage, a.d)
 	switch {
+	case o.Trace == nil:
 	case a.panicked:
-		attrs = []string{"panicked", "true", "panic", a.panicMsg}
+		o.Trace.Add(stage, a.d, "panicked", "true", "panic", a.panicMsg)
 	case a.ok && len(a.r) > 0:
-		attrs = []string{"declined", "false", "rank1", a.r[0].Tag}
+		o.Trace.Add(stage, a.d, "declined", "false", "rank1", a.r[0].Tag)
+	default:
+		o.Trace.Add(stage, a.d, "declined", "true", "reason", a.reason)
 	}
-	o.recordStage(stage, a.d, attrs...)
 	o.Metrics.Histogram("boundary_heuristic_duration_seconds",
 		"One heuristic's ranking latency in seconds, by heuristic.",
 		obs.StageBuckets, "heuristic", a.name).Observe(a.d.Seconds())

@@ -61,12 +61,34 @@ func NewContext(tree *tagtree.Tree, threshold float64, ont *ontology.Ontology) *
 }
 
 // Stage is one timed step of Context construction, reported to the observer
-// passed to NewContextTimed. Attrs holds alternating key, value descriptive
-// pairs (the winning tag, the candidate count, ...).
+// passed to NewContextTimed. Tag and N describe the step's outcome as
+// values; Attrs renders them as trace attributes, so an observer that keeps
+// no trace formats nothing.
 type Stage struct {
 	Name     string // "fanout", "candidates" or "recognize"
 	Duration time.Duration
-	Attrs    []string
+	// Tag is the highest-fan-out subtree's tag name as parsed (fanout
+	// only). It may alias the parse's arena, so read it, or call Attrs,
+	// before the observer returns.
+	Tag string
+	// N is the step's count: the subtree's fan-out, the candidate count,
+	// or the Data-Record Table's entry count.
+	N int
+}
+
+// Attrs returns the stage's descriptive attributes as alternating key,
+// value pairs: the winning tag and its fan-out, the candidate count, or the
+// recognized entry count.
+func (s Stage) Attrs() []string {
+	switch s.Name {
+	case "fanout":
+		return []string{"tag", htmlparse.CanonicalName(s.Tag), "fan_out", strconv.Itoa(s.N)}
+	case "candidates":
+		return []string{"count", strconv.Itoa(s.N)}
+	case "recognize":
+		return []string{"entries", strconv.Itoa(s.N)}
+	}
+	return nil
 }
 
 // StageFunc observes one completed stage of context construction.
@@ -98,10 +120,9 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 	start := time.Now()
 	sub := tree.HighestFanOut()
 	if onStage != nil {
-		onStage(Stage{Name: "fanout", Duration: time.Since(start), Attrs: []string{
-			"tag", htmlparse.CanonicalName(sub.Name), "fan_out", strconv.Itoa(sub.FanOut()),
-		}})
-		start = time.Now()
+		now := time.Now()
+		onStage(Stage{Name: "fanout", Duration: now.Sub(start), Tag: sub.Name, N: sub.FanOut()})
+		start = now
 	}
 	events := tree.SubtreeEvents(sub)
 	lens := make([]int32, len(events))
@@ -118,10 +139,9 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 		SubtreeTextLens: lens,
 	}
 	if onStage != nil {
-		onStage(Stage{Name: "candidates", Duration: time.Since(start), Attrs: []string{
-			"count", strconv.Itoa(len(hctx.Candidates)),
-		}})
-		start = time.Now()
+		now := time.Now()
+		onStage(Stage{Name: "candidates", Duration: now.Sub(start), N: len(hctx.Candidates)})
+		start = now
 	}
 	if ont != nil {
 		table, err := recognizer.RecognizeContext(ctx, ont, tree, sub, faults)
@@ -130,9 +150,7 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 		}
 		hctx.Table = table
 		if onStage != nil {
-			onStage(Stage{Name: "recognize", Duration: time.Since(start), Attrs: []string{
-				"entries", strconv.Itoa(hctx.Table.Len()),
-			}})
+			onStage(Stage{Name: "recognize", Duration: time.Since(start), N: hctx.Table.Len()})
 		}
 	}
 	return hctx, nil

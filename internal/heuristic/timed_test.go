@@ -29,8 +29,9 @@ func TestNewContextTimedStages(t *testing.T) {
 	}
 	attrs := func(s Stage) map[string]string {
 		m := map[string]string{}
-		for i := 0; i+1 < len(s.Attrs); i += 2 {
-			m[s.Attrs[i]] = s.Attrs[i+1]
+		a := s.Attrs()
+		for i := 0; i+1 < len(a); i += 2 {
+			m[a[i]] = a[i+1]
 		}
 		return m
 	}

@@ -47,6 +47,27 @@ func (w *statusWriter) Flush() {
 // re-implement (EnableFullDuplex, deadlines, hijacking).
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
+// statusCode renders an HTTP status code as its metric label value. The
+// codes this service answers with most are constants, so the per-request
+// path formats none.
+func statusCode(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusRequestEntityTooLarge:
+		return "413"
+	case http.StatusUnprocessableEntity:
+		return "422"
+	case http.StatusTooManyRequests:
+		return "429"
+	}
+	return strconv.Itoa(code)
+}
+
 // Tracing configures the middleware's distributed-tracing behavior: where
 // finished traces are published and which service name the fragment roots
 // carry. A nil *Tracing disables tracing entirely.
@@ -89,6 +110,7 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 		r = r.WithContext(WithRequestID(r.Context(), id))
 
 		var tr *Trace
+		traceID := "" // rendered once, for the response header and the log
 		if tracing != nil {
 			if sc, ok := ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
 				tr = NewTraceFrom(sc)
@@ -107,7 +129,8 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 			}
 			tr.SetRoot(service, name)
 			tr.RootAttr("request_id", id)
-			w.Header().Set(TraceIDHeader, tr.ID().String())
+			traceID = tr.ID().String()
+			w.Header().Set(TraceIDHeader, traceID)
 			r = r.WithContext(WithTrace(r.Context(), tr))
 		}
 
@@ -129,9 +152,10 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 		if sw.status == 0 { // handler wrote nothing
 			sw.status = http.StatusOK
 		}
+		code := statusCode(sw.status)
 		reg.Counter("http_requests_total",
 			"HTTP requests served, by route, method and status code.",
-			"route", rt, "method", r.Method, "code", strconv.Itoa(sw.status)).Inc()
+			"route", rt, "method", r.Method, "code", code).Inc()
 		if sw.status >= 400 {
 			reg.Counter("http_request_errors_total",
 				"HTTP requests answered with a 4xx or 5xx status, by route.",
@@ -142,22 +166,18 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 			"route", rt).Observe(elapsed.Seconds())
 
 		if tr != nil {
-			tr.RootAttr("code", strconv.Itoa(sw.status))
+			tr.RootAttr("code", code)
 			switch {
 			case sw.status == http.StatusTooManyRequests:
 				tr.SetStatus(StatusShed, "load shed")
 			case sw.status >= 400:
-				tr.SetStatus(StatusError, "http status "+strconv.Itoa(sw.status))
+				tr.SetStatus(StatusError, "http status "+code)
 			}
 			tr.Finish()
 			tracing.Store.Publish(tr)
 		}
 
 		if logger != nil {
-			traceID := ""
-			if tr != nil {
-				traceID = tr.ID().String()
-			}
 			logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("request_id", id),
 				slog.String("trace_id", traceID),

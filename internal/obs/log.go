@@ -2,14 +2,13 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
 	"encoding/hex"
 )
 
 // NewRequestID returns a fresh 16-hex-character request identifier.
 func NewRequestID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
+	if err := randomBytes(b[:]); err != nil {
 		// crypto/rand never fails on supported platforms; a fixed fallback
 		// keeps the middleware total rather than panicking a handler.
 		return "0000000000000000"

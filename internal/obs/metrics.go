@@ -8,7 +8,9 @@ package obs
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -39,9 +41,21 @@ var StageBuckets = []float64{
 // format. The zero value is not usable; call NewRegistry. A nil *Registry is
 // a valid no-op sink: every lookup returns a nil metric whose methods do
 // nothing, so callers may thread an optional registry without nil checks.
+//
+// Lookups are cheap enough to repeat on every request: a lookup of an
+// existing series hashes its name and label pairs in key order and finds
+// it in a published snapshot of the index, taking no lock and allocating
+// nothing. Only a lookup the snapshot misses — a series' first lookups —
+// takes the lock.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	index    map[uint64]*series // seriesHash → chain of series; guarded by mu
+	// read is a copy of index that lookups read without the lock. Chains
+	// are shared: a series is never changed once indexed.
+	read   atomic.Pointer[map[uint64]*series]
+	misses int // lookups of existing series read missed since it was published; guarded by mu
+	seed   maphash.Seed
 }
 
 // family is one metric name: its metadata plus one series per label set.
@@ -50,31 +64,100 @@ type family struct {
 	help    string
 	typ     string // "counter", "gauge" or "histogram"
 	buckets []float64
-	series  map[string]*series // keyed by rendered label string
+	series  []*series // in registration order
 }
 
 type series struct {
+	fam   *family
 	pairs [][2]string // sorted label key/value pairs
 	value any         // *Counter, *Gauge or *Histogram
+	next  *series     // next series in index with the same hash
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{
+		families: make(map[string]*family),
+		index:    make(map[uint64]*series),
+		seed:     maphash.MakeSeed(),
+	}
 }
 
-// labelPairs normalizes alternating key, value, key, value... arguments into
-// sorted pairs. An unpaired trailing key gets an empty value.
-func labelPairs(labels []string) [][2]string {
-	if len(labels)%2 != 0 {
-		labels = append(labels, "")
+// Label arguments alternate key, value, key, value...; an unpaired trailing
+// key gets an empty value. A series is identified by its pairs in key order
+// (a stable sort, so duplicate keys keep their argument order), whatever
+// order they were passed in. The registry only reads the caller's slice,
+// which may have spare capacity the caller still uses.
+
+// labelValue returns the value of the pair whose key is labels[i-1].
+func labelValue(labels []string, i int) string {
+	if i < len(labels) {
+		return labels[i]
 	}
-	pairs := make([][2]string, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		pairs = append(pairs, [2]string{labels[i], labels[i+1]})
+	return ""
+}
+
+// keysSorted reports whether labels' pairs are already in key order.
+func keysSorted(labels []string) bool {
+	for i := 2; i < len(labels); i += 2 {
+		if labels[i] < labels[i-2] {
+			return false
+		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-	return pairs
+	return true
+}
+
+// sortLabels appends labels to dst with the pairs in key order and the
+// trailing value, if missing, supplied. Insertion sort is what sort.Slice
+// runs on sets this small: the same order, without its allocations.
+func sortLabels(dst, labels []string) []string {
+	dst = append(dst, labels...)
+	if len(dst)%2 != 0 {
+		dst = append(dst, "")
+	}
+	for i := 2; i < len(dst); i += 2 {
+		for j := i; j > 0 && dst[j] < dst[j-2]; j -= 2 {
+			dst[j], dst[j+1], dst[j-2], dst[j-1] = dst[j-2], dst[j-1], dst[j], dst[j+1]
+		}
+	}
+	return dst
+}
+
+// seriesHash hashes a metric name and its label pairs in key order. Equal
+// hashes are confirmed by series.matches, so a collision costs a
+// comparison, never a wrong series.
+func (r *Registry) seriesHash(name string, labels []string) uint64 {
+	h := maphash.String(r.seed, name)
+	for i := 0; i < len(labels); i += 2 {
+		h = (h ^ maphash.String(r.seed, labels[i])) * 0x100000001b3
+		h = (h ^ maphash.String(r.seed, labelValue(labels, i+1))) * 0x100000001b3
+	}
+	return h
+}
+
+// matches reports whether s is the series name, typ and labels (pairs in
+// key order) identify.
+func (s *series) matches(name, typ string, labels []string) bool {
+	if s.fam.name != name || s.fam.typ != typ || len(s.pairs) != (len(labels)+1)/2 {
+		return false
+	}
+	for i, p := range s.pairs {
+		if p[0] != labels[2*i] || p[1] != labelValue(labels, 2*i+1) {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the series name, typ and labels identify in index's hash
+// chain h, or nil.
+func find(index map[uint64]*series, h uint64, name, typ string, labels []string) *series {
+	for s := index[h]; s != nil; s = s.next {
+		if s.matches(name, typ, labels) {
+			return s
+		}
+	}
+	return nil
 }
 
 // escapeLabel escapes a label value per the Prometheus text format.
@@ -107,36 +190,79 @@ func renderLabels(pairs [][2]string, extra ...[2]string) string {
 	return b.String()
 }
 
+// maxStackPairs is how many unsorted label pairs a lookup puts in order
+// without allocating; no series in this repository has more than three.
+const maxStackPairs = 4
+
 // metric returns (creating if needed) the series for name+labels, checking
 // that the family's type matches. Registering the same name under two
 // different types is a programming error and panics.
 func (r *Registry) metric(name, help, typ string, buckets []float64, labels []string) any {
-	pairs := labelPairs(labels)
-	key := renderLabels(pairs)
+	if !keysSorted(labels) {
+		var buf [2 * maxStackPairs]string
+		labels = sortLabels(buf[:0], labels)
+	}
+	h := r.seriesHash(name, labels)
+	if read := r.read.Load(); read != nil {
+		if s := find(*read, h, name, typ, labels); s != nil {
+			return s.value
+		}
+	}
+	return r.register(h, name, help, typ, buckets, labels)
+}
 
+// register is metric's path for a lookup the snapshot missed: under the
+// lock it finds or creates the family and the series, copying labels (pairs
+// in key order), which may live on the caller's stack. A series found here
+// is one the snapshot does not hold yet; once such misses reach the
+// snapshot's size, it is copied anew, so copying costs O(1) per miss
+// amortized, and a new series stops taking the lock after at most that
+// many lookups. Creating a series copies nothing: a fresh registry's first
+// lookups cost no more than before the index existed.
+func (r *Registry) register(h uint64, name, help, typ string, buckets []float64, labels []string) any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s, created := r.create(h, name, help, typ, buckets, labels)
+	if !created {
+		r.misses++
+		if read := r.read.Load(); read == nil || r.misses >= len(*read) {
+			snap := maps.Clone(r.index)
+			r.read.Store(&snap)
+			r.misses = 0
+		}
+	}
+	return s.value
+}
+
+// create returns the series name, typ and labels identify, creating it
+// (and its family) if needed, and whether it did. The caller holds r.mu.
+func (r *Registry) create(h uint64, name, help, typ string, buckets []float64, labels []string) (*series, bool) {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, buckets: buckets, series: make(map[string]*series)}
+		f = &family{name: name, help: help, typ: typ, buckets: buckets}
 		r.families[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
 	}
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{pairs: pairs}
-		switch typ {
-		case "counter":
-			s.value = &Counter{}
-		case "gauge":
-			s.value = &Gauge{}
-		case "histogram":
-			s.value = newHistogram(f.buckets)
-		}
-		f.series[key] = s
+	if s := find(r.index, h, name, typ, labels); s != nil {
+		return s, false
 	}
-	return s.value
+	pairs := make([][2]string, (len(labels)+1)/2)
+	for i := range pairs {
+		pairs[i] = [2]string{labels[2*i], labelValue(labels, 2*i+1)}
+	}
+	s := &series{fam: f, pairs: pairs, next: r.index[h]}
+	switch typ {
+	case "counter":
+		s.value = &Counter{}
+	case "gauge":
+		s.value = &Gauge{}
+	case "histogram":
+		s.value = newHistogram(f.buckets)
+	}
+	f.series = append(f.series, s)
+	r.index[h] = s
+	return s, true
 }
 
 // Counter returns the counter for name and the given alternating
@@ -259,7 +385,13 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.buckets, v) // first bucket with v <= le
+	// First bucket with v <= le, as sort.SearchFloat64s finds it (NaN
+	// lands in +Inf); a linear scan, as stage latencies fall in the
+	// first few buckets.
+	i := 0
+	for i < len(h.buckets) && !(h.buckets[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	addFloat(&h.sum, v)
@@ -293,8 +425,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	// Snapshot every family's series under the lock: a first use of a new
-	// label set writes the series map, so ranging over it unlocked can
-	// crash the process. Values are read atomically after.
+	// label set writes the families map and a family's series list, so
+	// reading them unlocked is a data race. Label keys are rendered and
+	// values read atomically after.
 	type entry struct {
 		key string
 		s   *series
@@ -306,13 +439,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]snapshot, 0, len(r.families))
 	for _, f := range r.families {
-		snap := snapshot{f: f, series: make([]entry, 0, len(f.series))}
-		for k, s := range f.series {
-			snap.series = append(snap.series, entry{k, s})
+		snap := snapshot{f: f, series: make([]entry, len(f.series))}
+		for i, s := range f.series {
+			snap.series[i].s = s
 		}
 		fams = append(fams, snap)
 	}
 	r.mu.Unlock()
+	for _, snap := range fams {
+		for i := range snap.series {
+			snap.series[i].key = renderLabels(snap.series[i].s.pairs)
+		}
+	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
 
 	var b strings.Builder

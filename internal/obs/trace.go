@@ -126,14 +126,42 @@ type Span struct {
 	// Status is "", StatusOK, StatusDegraded, StatusShed or StatusError.
 	Status string
 	owner  *Trace
+	// attrBuf holds the attributes Add records for a stage (up to two
+	// pairs), so such a span is one allocation.
+	attrBuf [4]string
 }
 
-// NewTrace returns an empty trace with a fresh random TraceID. One
-// crypto/rand read seeds the trace ID and the span-ID base; individual span
-// IDs are derived by counter so the hot path never blocks on entropy.
+// entropy hands out crypto/rand bytes from 4 KiB buffers, one goroutine
+// at a time per buffer, so minting a trace or request ID costs a copy
+// rather than a read from the system's generator each time. Each byte is
+// handed out once.
+var entropy = sync.Pool{New: func() any { return &entropyBuf{n: len(entropyBuf{}.b)} }}
+
+type entropyBuf struct {
+	b [4096]byte
+	n int // bytes of b already handed out
+}
+
+// randomBytes fills dst with bytes from crypto/rand.
+func randomBytes(dst []byte) error {
+	e := entropy.Get().(*entropyBuf)
+	defer entropy.Put(e)
+	if len(dst) > len(e.b)-e.n {
+		if _, err := rand.Read(e.b[:]); err != nil {
+			return err
+		}
+		e.n = 0
+	}
+	e.n += copy(dst, e.b[e.n:])
+	return nil
+}
+
+// NewTrace returns an empty trace with a fresh random TraceID. One draw of
+// crypto/rand bytes seeds the trace ID and the span-ID base; individual
+// span IDs are derived by counter so the hot path never blocks on entropy.
 func NewTrace() *Trace {
 	var seed [32]byte
-	if _, err := rand.Read(seed[:]); err != nil {
+	if err := randomBytes(seed[:]); err != nil {
 		// crypto/rand never fails on supported platforms; a fixed fallback
 		// keeps tracing total rather than panicking a request.
 		seed = [32]byte{1}
@@ -265,6 +293,10 @@ func (t *Trace) addSpan(s *Span) bool {
 	if s.Parent.IsZero() {
 		s.Parent = t.root
 	}
+	if t.spans == nil {
+		// Room for one discovery's stage spans without regrowing.
+		t.spans = make([]*Span, 0, 16)
+	}
 	t.spans = append(t.spans, s)
 	return true
 }
@@ -294,12 +326,24 @@ func (t *Trace) StartSpanUnder(parent *Span, name string) *Span {
 }
 
 // Add records an already-timed span — for stages whose duration was measured
-// elsewhere. attrs are alternating key, value strings.
+// elsewhere. attrs are alternating key, value strings; the span keeps a
+// copy. The span's start is read off the monotonic clock relative to the
+// trace's own start, one clock read rather than the two of a wall-clock
+// time.Now.
 func (t *Trace) Add(name string, d time.Duration, attrs ...string) {
 	if t == nil {
 		return
 	}
-	t.addSpan(&Span{Name: name, Start: time.Now().Add(-d), Duration: d, Attrs: attrs, owner: t})
+	s := &Span{Name: name, Start: t.start.Add(time.Since(t.start) - d), Duration: d, owner: t}
+	switch n := len(attrs); {
+	case n > len(s.attrBuf):
+		s.Attrs = append([]string(nil), attrs...)
+	case n > 0:
+		// Capped at the copy's length, so a later Attr append reallocates.
+		s.Attrs = s.attrBuf[:n:n]
+		copy(s.Attrs, attrs)
+	}
+	t.addSpan(s)
 }
 
 // End closes a live span, fixing its duration. Safe to call from a
@@ -360,6 +404,11 @@ func (t *Trace) Spans() []Span {
 	for i, s := range t.spans {
 		out[i] = *s
 		out[i].owner = nil
+		if n := len(s.Attrs); n > 0 && n <= len(s.attrBuf) && &s.Attrs[0] == &s.attrBuf[0] {
+			// Point the copy at its own copy of the attributes, so a kept
+			// snapshot does not hold the live span.
+			out[i].Attrs = out[i].attrBuf[:n:n]
+		}
 	}
 	return out
 }

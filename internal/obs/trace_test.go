@@ -57,3 +57,24 @@ func TestEmptyTraceTable(t *testing.T) {
 		t.Errorf("empty table = %q", got)
 	}
 }
+
+// TestAddKeepsOwnAttrs: a span keeps its own copy of the attributes Add
+// was given, and so does a snapshot of it.
+func TestAddKeepsOwnAttrs(t *testing.T) {
+	tr := NewTrace()
+	attrs := []string{"k", "v"}
+	tr.Add("a", time.Millisecond, attrs...)
+	attrs[1] = "changed"
+	tr.Add("b", time.Millisecond, "k1", "v1", "k2", "v2", "k3", "v3")
+	snap := tr.Snapshot()
+	if got := strings.Join(snap.Spans[0].Attrs, " "); got != "k v" {
+		t.Errorf("span a attrs = %q, want %q", got, "k v")
+	}
+	if got := strings.Join(snap.Spans[1].Attrs, " "); got != "k1 v1 k2 v2 k3 v3" {
+		t.Errorf("span b attrs = %q", got)
+	}
+	tr.Add("c", time.Millisecond)
+	if got := tr.Spans()[2].Attrs; got != nil {
+		t.Errorf("span without attributes has Attrs %#v, want nil", got)
+	}
+}
