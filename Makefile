@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test testshort race shuffle cover cover-pipeline cover-eval bench bench-smoke bench-gate throughput-gate evalrun quality-gate cluster obs-smoke obs-gates wrapper-smoke membership-smoke fuzz chaos experiments corpus examples clean
+.PHONY: all build test testshort race shuffle cover cover-pipeline cover-eval bench bench-smoke bench-gate throughput-gate evalrun quality-gate cluster obs-smoke obs-gates wrapper-smoke membership-smoke fuzz chaos experiments corpus examples loc clean
 
 all: build test
 
@@ -211,6 +211,12 @@ examples:
 	$(GO) run ./examples/jobads
 	$(GO) run ./examples/courses
 	$(GO) run ./examples/xmlfeed
+
+# Production Go lines, the figure ROADMAP.md tracks: non-test Go files
+# outside perfbench/ (and outside hidden build directories).
+loc:
+	@find . \( -path ./perfbench -o -path './.*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -rf corpus cover.out pipeline_cover.out eval_cover.out test_output.txt bench_output.txt $(BENCH_DIR)

@@ -62,9 +62,9 @@ func TestDiscoverAllocs(t *testing.T) {
 	defer arena.Release()
 
 	t.Run("NoOntology", func(t *testing.T) {
-		// Parse + heuristics + answer assembly; no recognizer. Measured 93
+		// Parse + heuristics + answer assembly; no recognizer. Measured 63
 		// on the seed corpus document.
-		const ceiling = 120
+		const ceiling = 63
 		opts := core.Options{Arena: arena}
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := core.DiscoverBytes(doc, opts); err != nil {
@@ -104,9 +104,9 @@ func TestDiscoverAllocs(t *testing.T) {
 	t.Run("MetricsAndTrace", func(t *testing.T) {
 		// A fresh trace per document, as a traced request pays: the trace,
 		// one span per stage and the stage attributes, on top of the
-		// NoOntology count. Measured 107 (234 before repeat metric lookups
+		// NoOntology count. Measured 78 (234 before repeat metric lookups
 		// were indexed and stage attributes were built only for a trace).
-		const ceiling = 128
+		const ceiling = 78
 		opts := core.Options{Arena: arena, Metrics: obs.NewRegistry()}
 		got := testing.AllocsPerRun(50, func() {
 			opts.Trace = obs.NewTrace()
@@ -122,9 +122,9 @@ func TestDiscoverAllocs(t *testing.T) {
 	t.Run("WithOntology", func(t *testing.T) {
 		// Adds the recognizer scan: each regexp match allocates its index
 		// pair, so this scales with the document's match count. Measured
-		// 671 on the seed corpus document (1111 before the candidate-driven
+		// 635 on the seed corpus document (1111 before the candidate-driven
 		// scan).
-		const ceiling = 810
+		const ceiling = 635
 		opts := core.Options{Ontology: BuiltinOntology(string(d.Site.Domain)), Arena: arena}
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := core.DiscoverBytes(doc, opts); err != nil {
@@ -233,13 +233,13 @@ func TestDiscoverCacheHitAllocs(t *testing.T) {
 // a trace store and the result cache. Two documents alternate through a
 // one-entry cache, so every request misses, runs full discovery and evicts.
 // The bare handler (no logger, metrics or traces) is logged beside it: the
-// difference is what observability costs per request. Measured 162
-// deployed against 133 bare on the first two seed corpus documents (311
+// difference is what observability costs per request. Measured 135
+// deployed against 105 bare on the first two seed corpus documents (311
 // deployed before repeat metric lookups were indexed and stage attributes
 // were built only for a trace).
 func TestDiscoverCacheMissAllocs(t *testing.T) {
 	skipUnderRace(t)
-	const ceiling = 195
+	const ceiling = 135
 	docs := corpus.TestDocuments()[:2]
 	bodies := make([][]byte, len(docs))
 	for i, d := range docs {

@@ -12,6 +12,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/paperdoc"
 	"repro/internal/tagtree"
 	"repro/internal/template"
-	"repro/internal/wrapper"
 )
 
 // BenchmarkFigure2Document measures the §5.3 worked example end-to-end:
@@ -353,7 +353,8 @@ func BenchmarkDiscoverXML(b *testing.B) {
 func BenchmarkWrapperApplyVsDiscover(b *testing.B) {
 	site := corpus.TrainingSites(corpus.Obituaries)[0]
 	samples := []string{site.Generate(0).HTML, site.Generate(1).HTML, site.Generate(2).HTML}
-	w, err := wrapper.Learn(samples, ontology.Builtin("obituary"))
+	ctx := context.Background()
+	w, err := core.LearnSeparator(ctx, samples, core.Options{Ontology: ontology.Builtin("obituary")})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func BenchmarkWrapperApplyVsDiscover(b *testing.B) {
 	b.Run("WrapperApply", func(b *testing.B) {
 		b.SetBytes(int64(len(target)))
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Apply(target); err != nil {
+			if _, err := core.ApplySeparator(ctx, target, w.Separator, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

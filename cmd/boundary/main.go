@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/ontology"
+	"repro/internal/tagtree"
 )
 
 // The discovery entry points are package variables so tests can exercise the
@@ -60,7 +62,7 @@ func run(out io.Writer, ontName string, records, explain, xml, check, trace bool
 	if err != nil {
 		return err
 	}
-	ont, err := loadOntology(ontName)
+	_, ont, err := ontology.Load(ontName)
 	if err != nil {
 		return err
 	}
@@ -69,7 +71,7 @@ func run(out io.Writer, ontName string, records, explain, xml, check, trace bool
 		if ont == nil {
 			return fmt.Errorf("-check needs -ontology (classification is content-based)")
 		}
-		cls, err := classify.Classify(doc, ont)
+		cls, err := classify.Classify(context.Background(), doc, ont, tagtree.Limits{})
 		if err != nil {
 			return err
 		}
@@ -132,20 +134,4 @@ func readDocument(args []string) (string, error) {
 	}
 	data, err := os.ReadFile(args[0])
 	return string(data), err
-}
-
-// loadOntology resolves the -ontology flag: empty disables OM, a built-in
-// name selects it, anything else is treated as a DSL file path.
-func loadOntology(name string) (*ontology.Ontology, error) {
-	if name == "" {
-		return nil, nil
-	}
-	if ont := ontology.Builtin(name); ont != nil {
-		return ont, nil
-	}
-	src, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("ontology %q is neither built-in nor readable: %w", name, err)
-	}
-	return ontology.Parse(string(src))
 }

@@ -163,11 +163,16 @@ func TestLoadOntologyFromDSLFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(dsl), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ont, err := loadOntology(path)
-	if err != nil {
+	var out strings.Builder
+	if err := run(&out, path, false, true, false, false, false, []string{writeTemp(t, paperdoc.Figure2)}); err != nil {
 		t.Fatal(err)
 	}
-	if ont.Name != "X" {
-		t.Errorf("ontology name = %s", ont.Name)
+	if !strings.Contains(out.String(), "separator: <hr>") {
+		t.Errorf("output:\n%s", out.String())
+	}
+	missing := filepath.Join(t.TempDir(), "missing.ont")
+	err := run(&out, missing, false, false, false, false, false, []string{writeTemp(t, paperdoc.Figure2)})
+	if err == nil || !strings.Contains(err.Error(), "is neither built-in nor readable") {
+		t.Errorf("missing ontology file: err = %v", err)
 	}
 }

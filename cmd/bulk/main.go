@@ -100,8 +100,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return fmt.Errorf("-spot-check-rate must be >= 0, got %d", *spotCheckRate)
 	}
 
-	ontSrc, err := resolveOntologyFlag(*ontologySrc)
+	// A DSL file's contents become the tasks' ontology source, validated
+	// here so a typo fails the run up front rather than per document.
+	ontSrc, _, err := ontology.Load(*ontologySrc)
 	if err != nil {
+		if !errors.As(err, new(*os.PathError)) { // read, but not valid DSL
+			err = fmt.Errorf("ontology file %s: %w", *ontologySrc, err)
+		}
 		return err
 	}
 	src, srcClose, err := openSource(*in, stdin, ontSrc, *shard, *maxLine)
@@ -230,22 +235,4 @@ func openSource(in string, stdin io.Reader, ontologySrc, shard string, maxLine i
 		return nil, nil, err
 	}
 	return pipeline.NewNDJSONSource(f, maxLine), f.Close, nil
-}
-
-// resolveOntologyFlag turns the -ontology flag into task ontology source:
-// empty stays empty, a built-in name passes through, anything else is read
-// as a DSL file whose contents become the source (validated here so a typo
-// fails the run up front rather than per document).
-func resolveOntologyFlag(name string) (string, error) {
-	if name == "" || ontology.Builtin(name) != nil {
-		return name, nil
-	}
-	src, err := os.ReadFile(name)
-	if err != nil {
-		return "", fmt.Errorf("ontology %q is neither built-in nor readable: %w", name, err)
-	}
-	if _, err := ontology.Parse(string(src)); err != nil {
-		return "", fmt.Errorf("ontology file %s: %w", name, err)
-	}
-	return string(src), nil
 }

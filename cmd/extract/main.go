@@ -39,15 +39,9 @@ func run(out io.Writer, ontName, format string, args []string) error {
 	if ontName == "" {
 		return fmt.Errorf("-ontology is required (one of %v or a DSL file)", ontology.BuiltinNames())
 	}
-	ont := ontology.Builtin(ontName)
-	if ont == nil {
-		src, err := os.ReadFile(ontName)
-		if err != nil {
-			return fmt.Errorf("ontology %q is neither built-in nor readable: %w", ontName, err)
-		}
-		if ont, err = ontology.Parse(string(src)); err != nil {
-			return err
-		}
+	_, ont, err := ontology.Load(ontName)
+	if err != nil {
+		return err
 	}
 
 	doc, err := readDocument(args)

@@ -10,13 +10,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/ontology"
-	"repro/internal/wrapper"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -59,11 +61,11 @@ func learnCmd(out io.Writer, args []string) error {
 		}
 		samples = append(samples, string(data))
 	}
-	ont, err := loadOntology(*ontName)
+	_, ont, err := ontology.Load(*ontName)
 	if err != nil {
 		return err
 	}
-	w, err := wrapper.Learn(samples, ont)
+	w, err := core.LearnSeparator(context.Background(), samples, core.Options{Ontology: ont})
 	if err != nil {
 		return err
 	}
@@ -83,23 +85,17 @@ func learnCmd(out io.Writer, args []string) error {
 func applyCmd(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("apply", flag.ContinueOnError)
 	wrapperPath := fs.String("wrapper", "", "saved wrapper file (required)")
-	ontName := fs.String("ontology", "", "re-attach a custom ontology (built-in name or DSL file)")
+	ontName := fs.String("ontology", "", "built-in name or DSL file; validated, not needed to apply")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *wrapperPath == "" || fs.NArg() != 1 {
 		return fmt.Errorf("apply needs -wrapper and exactly one page")
 	}
-	ont, err := loadOntology(*ontName)
-	if err != nil {
+	if _, _, err := ontology.Load(*ontName); err != nil {
 		return err
 	}
-	f, err := os.Open(*wrapperPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := wrapper.LoadWithOntology(f, ont)
+	w, err := loadWrapper(*wrapperPath)
 	if err != nil {
 		return err
 	}
@@ -107,7 +103,7 @@ func applyCmd(out io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	records, err := w.Apply(string(page))
+	records, err := core.ApplySeparator(context.Background(), string(page), w.Separator, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -126,12 +122,7 @@ func showCmd(out io.Writer, args []string) error {
 	if *wrapperPath == "" {
 		return fmt.Errorf("show needs -wrapper")
 	}
-	f, err := os.Open(*wrapperPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := wrapper.Load(f)
+	w, err := loadWrapper(*wrapperPath)
 	if err != nil {
 		return err
 	}
@@ -139,18 +130,12 @@ func showCmd(out io.Writer, args []string) error {
 	return nil
 }
 
-// loadOntology resolves an ontology flag: empty means none, a built-in name
-// selects it, anything else is a DSL file path.
-func loadOntology(name string) (*ontology.Ontology, error) {
-	if name == "" {
-		return nil, nil
-	}
-	if ont := ontology.Builtin(name); ont != nil {
-		return ont, nil
-	}
-	src, err := os.ReadFile(name)
+// loadWrapper reads a wrapper file saved by learn.
+func loadWrapper(path string) (wire.Wrapper, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("ontology %q is neither built-in nor readable: %w", name, err)
+		return wire.Wrapper{}, err
 	}
-	return ontology.Parse(string(src))
+	defer f.Close()
+	return wire.LoadWrapper(f)
 }

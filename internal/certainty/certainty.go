@@ -7,8 +7,11 @@
 package certainty
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Combine applies the Stanford certainty-theory rule for independent
@@ -187,11 +190,14 @@ func (s Score) String() string { return fmt.Sprintf("%s %.2f%%", s.Tag, s.CF*100
 // for each tag. rankings maps heuristic name → (tag → 1-based rank); a
 // heuristic absent from the map supplied no answer and contributes nothing.
 // Tags missing from a heuristic's ranking get zero factor from it. The
-// result is sorted by descending CF, ties broken by tag name.
+// result is sorted by descending CF, ties broken by tag name. CFs are never
+// NaN for a table of finite factors (Combine clamps each into [0, 1]), so
+// that order is total.
 func Compound(table Table, combination Combination, rankings map[string]map[string]int, tags []string) []Score {
 	out := make([]Score, 0, len(tags))
+	fs := make([]float64, 0, len(combination))
 	for _, tag := range tags {
-		var fs []float64
+		fs = fs[:0]
 		for _, h := range combination {
 			ranks, ok := rankings[h]
 			if !ok {
@@ -201,11 +207,11 @@ func Compound(table Table, combination Combination, rankings map[string]map[stri
 		}
 		out = append(out, Score{Tag: tag, CF: Combine(fs...)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CF != out[j].CF {
-			return out[i].CF > out[j].CF
+	slices.SortFunc(out, func(a, b Score) int {
+		if c := cmp.Compare(b.CF, a.CF); c != 0 {
+			return c
 		}
-		return out[i].Tag < out[j].Tag
+		return strings.Compare(a.Tag, b.Tag)
 	})
 	return out
 }

@@ -12,6 +12,7 @@
 package classify
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ontology"
@@ -80,17 +81,25 @@ const (
 // assumptions. The ontology is required: without record-identifying fields
 // there is no content-based evidence of records (the structural signal
 // alone cannot distinguish a record list from a navigation menu).
-func Classify(doc string, ont *ontology.Ontology) (*Result, error) {
+// The document is parsed under ctx and lim (zero Limits are unbounded), and
+// fails with the same limit and context errors discovery returns.
+func Classify(ctx context.Context, doc string, ont *ontology.Ontology, lim tagtree.Limits) (*Result, error) {
 	fields, ok := ont.RecordIdentifyingFields()
 	if !ok {
 		return nil, fmt.Errorf("classify: ontology %s has fewer than %d record-identifying fields",
 			ont.Name, ontology.MinRecordIdentifyingFields)
 	}
-	tree := tagtree.Parse(doc)
+	tree, err := tagtree.ParseContext(ctx, doc, lim)
+	if err != nil {
+		return nil, err
+	}
 	// Recognize over the whole document: unlike boundary discovery, the
 	// classifier cannot presume records live in the highest-fan-out
 	// subtree (a single-record page has no such concentration).
-	table := recognizer.Recognize(ont, tree, tree.Root)
+	table, err := recognizer.RecognizeContext(ctx, ont, tree, tree.Root, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{FieldCounts: make(map[string]int, len(fields))}
 	sum := 0
@@ -146,14 +155,14 @@ func SpanAnalysis(pages []string, ont *ontology.Ontology) (*SpanResult, error) {
 	out := &SpanResult{}
 	var joined string
 	for _, p := range pages {
-		r, err := Classify(p, ont)
+		r, err := Classify(context.Background(), p, ont, tagtree.Limits{})
 		if err != nil {
 			return nil, err
 		}
 		out.PerPage = append(out.PerPage, r)
 		joined += p
 	}
-	joint, err := Classify(joined, ont)
+	joint, err := Classify(context.Background(), joined, ont, tagtree.Limits{})
 	if err != nil {
 		return nil, err
 	}

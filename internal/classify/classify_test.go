@@ -1,11 +1,15 @@
 package classify
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/htmlparse"
 	"repro/internal/ontology"
+	"repro/internal/tagtree"
 )
 
 // singleObituary is a detail page with exactly one record.
@@ -36,7 +40,7 @@ func obituaryOnt() *ontology.Ontology { return ontology.Builtin("obituary") }
 
 func TestClassifyMultiRecordPages(t *testing.T) {
 	for _, d := range corpus.TestDocuments() {
-		res, err := Classify(d.HTML, d.Site.Domain.Ontology())
+		res, err := Classify(context.Background(), d.HTML, d.Site.Domain.Ontology(), tagtree.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +55,7 @@ func TestClassifyMultiRecordPages(t *testing.T) {
 }
 
 func TestClassifySingleRecordPage(t *testing.T) {
-	res, err := Classify(singleObituary, obituaryOnt())
+	res, err := Classify(context.Background(), singleObituary, obituaryOnt(), tagtree.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestClassifySingleRecordPage(t *testing.T) {
 }
 
 func TestClassifyNoRecordsPage(t *testing.T) {
-	res, err := Classify(navPage, obituaryOnt())
+	res, err := Classify(context.Background(), navPage, obituaryOnt(), tagtree.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestClassifyStructuralVeto(t *testing.T) {
 		strings.Repeat(`The victim passed away on March 3, 1998. Funeral services
 were announced. Interment followed. `, 4) +
 		`</p></body></html>`
-	res, err := Classify(article, obituaryOnt())
+	res, err := Classify(context.Background(), article, obituaryOnt(), tagtree.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ were announced. Interment followed. `, 4) +
 
 func TestClassifyRequiresUsableOntology(t *testing.T) {
 	tiny := ontology.MustParse("ontology X\nentity X\nobject A : one-to-one {\nkeyword `k`\n}")
-	if _, err := Classify(singleObituary, tiny); err == nil {
+	if _, err := Classify(context.Background(), singleObituary, tiny, tagtree.Limits{}); err == nil {
 		t.Error("expected error for ontology without 3 record-identifying fields")
 	}
 }
@@ -158,5 +162,26 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.Contains(Kind(99).String(), "99") {
 		t.Error("unknown kind should include its number")
+	}
+}
+
+// TestClassifyHonorsLimitsAndContext: the document is parsed under the
+// caller's limits and context, with their sentinel errors, like discovery.
+func TestClassifyHonorsLimitsAndContext(t *testing.T) {
+	ont := obituaryOnt()
+	bg := context.Background()
+	if _, err := Classify(bg, singleObituary, ont, tagtree.Limits{MaxBytes: 64}); !errors.Is(err, htmlparse.ErrTooLarge) {
+		t.Errorf("oversized: err = %v, want ErrTooLarge", err)
+	}
+	if _, err := Classify(bg, singleObituary, ont, tagtree.Limits{MaxDepth: 2}); !errors.Is(err, tagtree.ErrTooDeep) {
+		t.Errorf("deep: err = %v, want ErrTooDeep", err)
+	}
+	if _, err := Classify(bg, singleObituary, ont, tagtree.Limits{MaxNodes: 3}); !errors.Is(err, tagtree.ErrTooManyNodes) {
+		t.Errorf("wide: err = %v, want ErrTooManyNodes", err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := Classify(ctx, singleObituary, ont, tagtree.Limits{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled: err = %v, want context.Canceled", err)
 	}
 }

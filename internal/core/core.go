@@ -704,13 +704,13 @@ func (r *Result) Boundaries(doc string) []tagtree.Span {
 // evaluation harness uses it to materialize ground-truth boundaries from a
 // corpus document's planted separator, and it is the cheapest way to
 // re-split a page whose separator was learned out of band. It returns no
-// records when the separator never occurs inside the subtree.
+// records when the separator never occurs inside the subtree; see
+// ApplySeparator for the variant that checks the separator still fits.
 func SplitAt(doc, separator string, limits tagtree.Limits) ([]Record, error) {
-	tree, err := tagtree.ParseContext(context.Background(), doc, limits)
+	res, err := locate(context.Background(), doc, separator, Options{Limits: limits})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Separator: separator, Subtree: tree.HighestFanOut(), Tree: tree}
 	return Split(doc, res), nil
 }
 

@@ -14,9 +14,11 @@
 package heuristic
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/faultinject"
@@ -263,29 +265,29 @@ func ByName(name string) Heuristic {
 // ascending is true, higher when false) and assigns competition ranks: tags
 // with equal scores share a rank and the next distinct score skips the
 // intervening positions (1, 2, 2, 4). Score ties are ordered by tag name for
-// determinism.
+// determinism. No heuristic scores NaN (every score is a count, a list
+// index, or an absolute difference or standard deviation of finite
+// counts; SD's +Inf compares like any number), so (score, name) is a
+// strict total order and the ranking does not depend on the sort.
 func rankByScore(scores map[string]float64, ascending bool) Ranking {
-	tags := make([]string, 0, len(scores))
-	for t := range scores {
-		tags = append(tags, t)
+	out := make(Ranking, 0, len(scores))
+	for t, s := range scores {
+		out = append(out, Ranked{Tag: t, Score: s})
 	}
-	sort.Slice(tags, func(i, j int) bool {
-		si, sj := scores[tags[i]], scores[tags[j]]
-		if si != sj {
+	slices.SortFunc(out, func(a, b Ranked) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
 			if ascending {
-				return si < sj
+				return c
 			}
-			return si > sj
+			return -c
 		}
-		return tags[i] < tags[j]
+		return strings.Compare(a.Tag, b.Tag)
 	})
-	out := make(Ranking, len(tags))
-	for i, t := range tags {
-		rank := i + 1
-		if i > 0 && scores[t] == scores[tags[i-1]] {
-			rank = out[i-1].Rank
+	for i := range out {
+		out[i].Rank = i + 1
+		if i > 0 && out[i].Score == out[i-1].Score {
+			out[i].Rank = out[i-1].Rank
 		}
-		out[i] = Ranked{Tag: t, Rank: rank, Score: scores[t]}
 	}
 	return out
 }

@@ -25,6 +25,39 @@ var elementNames = []string{
 	"article", "section", "nav", "header", "footer", "main", "aside",
 }
 
+// impliedCloses holds the HTML 3.2/4.0 optional-end-tag rules 1998-era
+// documents rely on (<li> items, <p> runs, table cells without </td>): an
+// arriving start-tag implicitly closes the innermost open element while
+// that element is one of the listed names. They realize the paper's rule
+// (Appendix A) that a region with no end-tag ends "just before the next
+// tag" for the tags where that behaviour is standard.
+var impliedCloses = map[string][]string{
+	"li":       {"li"},
+	"p":        {"p"},
+	"dt":       {"dt", "dd"},
+	"dd":       {"dt", "dd"},
+	"option":   {"option"},
+	"tr":       {"td", "th", "tr"},
+	"td":       {"td", "th"},
+	"th":       {"td", "th"},
+	"thead":    {"td", "th", "tr"},
+	"tbody":    {"td", "th", "tr", "thead"},
+	"tfoot":    {"td", "th", "tr", "tbody"},
+	"colgroup": {"colgroup"},
+}
+
+// scopeBarriers stop the implied-close search: an arriving <tr> must not
+// close a <td> of an outer table.
+var scopeBarriers = []string{"table"}
+
+// ImpliedCloses returns the optional-end-tag rules: each arriving start-tag
+// name and the open element names it implicitly closes. ScopeBarriers
+// returns the element names that stop that search. Every name in both has
+// an element ID. The normalizer and the fingerprint scanner each build
+// their own lookup from them at init; neither result may be modified.
+func ImpliedCloses() map[string][]string { return impliedCloses }
+func ScopeBarriers() []string            { return scopeBarriers }
+
 // nameSlots is an open-addressed hash table over elementNames, probed by
 // ElementID: a slot holds a name's ID plus one, or 0 when empty. It stays
 // under half full.

@@ -211,22 +211,40 @@ func TestChaosResourceLimits(t *testing.T) {
 		Limits: tagtree.Limits{MaxBytes: 4 << 10, MaxDepth: 4, MaxNodes: 64},
 	})
 
-	deep := strings.Repeat("<div>", 10) + "x" + strings.Repeat("</div>", 10)
-	resp, decoded := post(t, srv, "/v1/discover", map[string]any{"html": deep})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("deep document status = %d, want 422 (%s)", resp.StatusCode, decoded["error"])
+	docs := []struct {
+		name, html string
+		want       int
+	}{
+		{"deep", strings.Repeat("<div>", 10) + "x" + strings.Repeat("</div>", 10), http.StatusUnprocessableEntity},
+		{"wide", "<div>" + strings.Repeat("<b>x</b>", 100) + "</div>", http.StatusUnprocessableEntity},
+		{"oversized", "<div><hr>" + strings.Repeat("padding ", 1024) + "<hr></div>", http.StatusRequestEntityTooLarge},
 	}
-
-	wide := "<div>" + strings.Repeat("<b>x</b>", 100) + "</div>"
-	resp, decoded = post(t, srv, "/v1/discover", map[string]any{"html": wide})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("wide document status = %d, want 422 (%s)", resp.StatusCode, decoded["error"])
+	// Every /v1 endpoint that parses a document enforces the same limits
+	// with the same statuses.
+	endpoints := []struct {
+		path string
+		body func(html string) map[string]any
+	}{
+		{"/v1/discover", func(html string) map[string]any { return map[string]any{"html": html} }},
+		{"/v1/records", func(html string) map[string]any { return map[string]any{"html": html} }},
+		{"/v1/classify", func(html string) map[string]any {
+			return map[string]any{"html": html, "ontology": "obituary"}
+		}},
+		{"/v1/wrapper/learn", func(html string) map[string]any {
+			return map[string]any{"samples": []string{html}}
+		}},
+		{"/v1/wrapper/apply", func(html string) map[string]any {
+			return map[string]any{"wrapper": map[string]any{"version": 1, "separator": "hr"}, "html": html}
+		}},
 	}
-
-	big := "<div><hr>" + strings.Repeat("padding ", 1024) + "<hr></div>"
-	resp, decoded = post(t, srv, "/v1/discover", map[string]any{"html": big})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized document status = %d, want 413 (%s)", resp.StatusCode, decoded["error"])
+	for _, d := range docs {
+		for _, e := range endpoints {
+			resp, decoded := post(t, srv, e.path, e.body(d.html))
+			if resp.StatusCode != d.want {
+				t.Errorf("%s document on %s: status = %d, want %d (%s)",
+					d.name, e.path, resp.StatusCode, d.want, decoded["error"])
+			}
+		}
 	}
 }
 
@@ -246,6 +264,27 @@ func TestChaosRequestTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("timed-out request took %v; the injected delay was not interrupted", elapsed)
+	}
+}
+
+// TestChaosRequestTimeoutCancelsLearn: /v1/wrapper/learn runs its samples
+// under the request deadline, so a stalled sample answers 503 promptly.
+func TestChaosRequestTimeoutCancelsLearn(t *testing.T) {
+	faults := faultinject.New()
+	faults.Inject("core/parse", faultinject.Fault{Delay: 2 * time.Second})
+	srv := newChaosServer(t, Config{Faults: faults, RequestTimeout: 50 * time.Millisecond})
+
+	page := "<div><hr><b>A</b> x<hr><b>B</b> y<hr></div>"
+	start := time.Now()
+	resp, decoded := post(t, srv, "/v1/wrapper/learn", map[string]any{"samples": []string{page, page}})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (%s)", resp.StatusCode, decoded["error"])
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("timed-out learn took %v; the stalled sample was not interrupted", elapsed)
+	}
+	if n := faults.Fired("core/parse"); n != 1 {
+		t.Errorf("core/parse fired %d times; learn went on to the next sample after the deadline", n)
 	}
 }
 

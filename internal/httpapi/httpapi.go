@@ -253,6 +253,17 @@ func (s server) pipelineOptions(ctx context.Context, ont *ontology.Ontology, sep
 	}
 }
 
+// documentOptions is what a single-document endpoint (records, extract,
+// wrapper learn and apply) runs under: the request's pipeline options on a
+// pooled arena, armed with the server's wrapper store. Call release once
+// the response is written.
+func (s server) documentOptions(ctx context.Context, ont *ontology.Ontology, ontologySrc string, separatorList []string) (opts core.Options, release func()) {
+	opts = s.pipelineOptions(ctx, ont, separatorList)
+	opts.Arena = tagtree.AcquireArena()
+	s.templatedOptions(&opts, "html", ontologySrc, separatorList)
+	return opts, opts.Arena.Release
+}
+
 // WriteJSON writes v as the service's JSON body encoding (two-space
 // indent) with the given status. The cluster router writes its own bodies
 // through it too, so every JSON response renders alike.
@@ -590,11 +601,8 @@ func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	ropts := s.pipelineOptions(r.Context(), ont, req.SeparatorList)
-	arena := tagtree.AcquireArena()
-	defer arena.Release()
-	ropts.Arena = arena
-	s.templatedOptions(&ropts, "html", req.Ontology, req.SeparatorList)
+	ropts, release := s.documentOptions(r.Context(), ont, req.Ontology, req.SeparatorList)
+	defer release()
 	res, err := core.DiscoverContext(r.Context(), req.HTML, ropts)
 	if err != nil {
 		apiErr := pipelineError(err)
@@ -629,11 +637,8 @@ func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	xopts := s.pipelineOptions(r.Context(), ont, nil)
-	arena := tagtree.AcquireArena()
-	defer arena.Release()
-	xopts.Arena = arena
-	s.templatedOptions(&xopts, "html", req.Ontology, nil)
+	xopts, release := s.documentOptions(r.Context(), ont, req.Ontology, nil)
+	defer release()
 	res, err := core.DiscoverContext(r.Context(), req.HTML, xopts)
 	if err != nil {
 		apiErr := pipelineError(err)
@@ -665,9 +670,10 @@ func (s server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := classify.Classify(req.HTML, ont)
+	res, err := classify.Classify(r.Context(), req.HTML, ont, s.cfg.Limits)
 	if err != nil {
-		WriteError(w, http.StatusUnprocessableEntity, err)
+		apiErr := pipelineError(err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{

@@ -6,14 +6,17 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/ontology"
-	"repro/internal/wrapper"
+	"repro/internal/wire"
 )
 
 // Wrapper endpoints: the learn-once / apply-cheaply workflow over HTTP.
+// Samples and applied pages run under documentOptions, as a /v1/records
+// document does, and answer 413/422/503 as it does.
 //
 //	POST /v1/wrapper/learn {samples: [html...], ontology?}
-//	     → {wrapper: <opaque JSON>, separator, confidence, agreement}
+//	     → {wrapper: <saved form>, separator, confidence, agreement}
 //	POST /v1/wrapper/apply {wrapper: <from learn>, html, ontology?}
 //	     → {records: [...]} or 409 on drift
 
@@ -23,9 +26,10 @@ type learnRequest struct {
 }
 
 type applyRequest struct {
-	Wrapper  json.RawMessage `json:"wrapper"`
-	HTML     string          `json:"html"`
-	Ontology string          `json:"ontology,omitempty"`
+	Wrapper json.RawMessage `json:"wrapper"`
+	HTML    string          `json:"html"`
+	// Ontology is validated for compatibility; applying never reads it.
+	Ontology string `json:"ontology,omitempty"`
 }
 
 func registerWrapperRoutes(mux *http.ServeMux, s server) {
@@ -47,18 +51,16 @@ func (s server) handleWrapperLearn(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	learned, err := wrapper.Learn(req.Samples, ont)
+	opts, release := s.documentOptions(r.Context(), ont, req.Ontology, nil)
+	defer release()
+	learned, err := core.LearnSeparator(r.Context(), req.Samples, opts)
 	if err != nil {
-		WriteError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	var buf bytes.Buffer
-	if err := learned.Save(&buf); err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
+		apiErr := pipelineError(err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"wrapper":    json.RawMessage(buf.Bytes()),
+		"wrapper":    learned,
 		"separator":  learned.Separator,
 		"confidence": learned.Confidence,
 		"agreement":  learned.Agreement,
@@ -74,23 +76,24 @@ func (s server) handleWrapperApply(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, errors.New("wrapper and html are required"))
 		return
 	}
-	ont, err := ontology.Resolve(req.Ontology)
+	if _, err := ontology.Resolve(req.Ontology); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	learned, err := wire.LoadWrapper(bytes.NewReader(req.Wrapper))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	learned, err := wrapper.LoadWithOntology(bytes.NewReader(req.Wrapper), ont)
+	opts, release := s.documentOptions(r.Context(), nil, "", nil)
+	defer release()
+	records, err := core.ApplySeparator(r.Context(), req.HTML, learned.Separator, opts)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	records, err := learned.Apply(req.HTML)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, wrapper.ErrDrift) {
-			status = http.StatusConflict
+		apiErr := pipelineError(err)
+		if errors.Is(err, core.ErrDrift) {
+			apiErr.status = http.StatusConflict
 		}
-		WriteError(w, status, err)
+		WriteError(w, apiErr.status, apiErr.err)
 		return
 	}
 	var out []recordBody

@@ -305,3 +305,15 @@ func Builtin(name string) *Ontology { return builtin[name] }
 
 // BuiltinNames lists the built-in ontology names in a fixed order.
 func BuiltinNames() []string { return []string{"obituary", "carad", "jobad", "course"} }
+
+// BuiltinName returns the name ont is built in under, or "" when ont is nil
+// or not one of the shared built-in ontologies (a parsed copy of the same
+// source is not).
+func BuiltinName(ont *Ontology) string {
+	for _, name := range BuiltinNames() {
+		if builtin[name] == ont {
+			return name
+		}
+	}
+	return ""
+}

@@ -1,6 +1,9 @@
 package ontology
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -313,5 +316,54 @@ func TestCardinalityString(t *testing.T) {
 	}
 	if got := Cardinality(9).String(); !strings.Contains(got, "9") {
 		t.Errorf("unknown cardinality = %q", got)
+	}
+}
+
+// TestLoad pins the -ontology flag rule every command shares: empty means
+// none, a built-in name selects it, anything else is a DSL file.
+func TestLoad(t *testing.T) {
+	if src, ont, err := Load(""); src != "" || ont != nil || err != nil {
+		t.Errorf("Load(\"\") = %q, %v, %v", src, ont, err)
+	}
+	if src, ont, err := Load("carad"); src != "carad" || ont != Builtin("carad") || err != nil {
+		t.Errorf("Load(carad) = %q, %v, %v", src, ont, err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "w.ont")
+	if err := os.WriteFile(good, []byte(tinySrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, ont, err := Load(good)
+	if err != nil || src != tinySrc || ont == nil || ont.Name != "Widget" {
+		t.Errorf("Load(file) = %q, %v, %v", src, ont, err)
+	}
+	src, _, err = Load(filepath.Join(dir, "missing.ont"))
+	if err == nil || src != "" || !strings.Contains(err.Error(), "is neither built-in nor readable") {
+		t.Errorf("Load(missing) = %q, %v", src, err)
+	}
+	bad := filepath.Join(dir, "bad.ont")
+	if err := os.WriteFile(bad, []byte("entity Orphan\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, ont, err = Load(bad)
+	if err == nil || ont != nil || src != "" || errors.As(err, new(*os.PathError)) {
+		t.Errorf("Load(malformed) = %q, %v, %v; want a parse error", src, ont, err)
+	}
+	if _, _, err := Load(filepath.Join(dir, "missing.ont")); !errors.As(err, new(*os.PathError)) {
+		t.Errorf("Load(missing): %v does not wrap the read error", err)
+	}
+}
+
+func TestBuiltinName(t *testing.T) {
+	for _, name := range BuiltinNames() {
+		if got := BuiltinName(Builtin(name)); got != name {
+			t.Errorf("BuiltinName(Builtin(%q)) = %q", name, got)
+		}
+	}
+	if got := BuiltinName(MustParse(ObituarySrc)); got != "" {
+		t.Errorf("a parsed copy of a built-in source named %q", got)
+	}
+	if got := BuiltinName(nil); got != "" {
+		t.Errorf("BuiltinName(nil) = %q", got)
 	}
 }

@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"fmt"
+	"os"
 	"regexp"
 	"strings"
 )
@@ -350,4 +351,23 @@ func Resolve(src string) (*Ontology, error) {
 			BuiltinNames(), err)
 	}
 	return ont, nil
+}
+
+// Load resolves a command's -ontology flag: empty means none, a built-in
+// name selects that ontology (src is the name), and anything else is read
+// as a DSL file (src is its contents). A file that cannot be read fails
+// with an error wrapping its *os.PathError; one that does not parse, with
+// the parse error.
+func Load(flag string) (src string, ont *Ontology, err error) {
+	if flag == "" || Builtin(flag) != nil {
+		return flag, Builtin(flag), nil
+	}
+	data, err := os.ReadFile(flag)
+	if err != nil {
+		return "", nil, fmt.Errorf("ontology %q is neither built-in nor readable: %w", flag, err)
+	}
+	if ont, err = Parse(string(data)); err != nil {
+		return "", nil, err
+	}
+	return string(data), ont, nil
 }

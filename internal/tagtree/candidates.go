@@ -1,7 +1,9 @@
 package tagtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/htmlparse"
 )
@@ -51,11 +53,11 @@ func Candidates(n *Node, threshold float64) []Candidate {
 			out = append(out, Candidate{Name: htmlparse.CanonicalName(name), Count: c})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return out[i].Name < out[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
 }

@@ -16,29 +16,25 @@ import (
 )
 
 // autoClose maps an arriving start-tag name to the set of open tag names it
-// implicitly closes when one of them is the innermost open element. This
-// encodes the HTML 3.2/4.0 optional-end-tag rules that 1998-era documents
-// rely on (<li> items, <p> runs, table cells without </td>). It realizes the
-// paper's rule that a region with no end-tag ends "just before the next tag"
-// for the tags where that behaviour is standard.
-var autoClose = map[string]map[string]bool{
-	"li":       {"li": true},
-	"p":        {"p": true},
-	"dt":       {"dt": true, "dd": true},
-	"dd":       {"dt": true, "dd": true},
-	"option":   {"option": true},
-	"tr":       {"td": true, "th": true, "tr": true},
-	"td":       {"td": true, "th": true},
-	"th":       {"td": true, "th": true},
-	"thead":    {"td": true, "th": true, "tr": true},
-	"tbody":    {"td": true, "th": true, "tr": true, "thead": true},
-	"tfoot":    {"td": true, "th": true, "tr": true, "tbody": true},
-	"colgroup": {"colgroup": true},
-}
+// implicitly closes when one of them is the innermost open element, and
+// tableScoped the ancestors that stop that search: htmlparse's balancing
+// rules (ImpliedCloses, ScopeBarriers) as name-keyed sets.
+var (
+	autoClose   = map[string]map[string]bool{}
+	tableScoped = map[string]bool{}
+)
 
-// tableScoped lists ancestors that stop the implied-close search: an
-// arriving <tr> must not close a <td> of an *outer* table.
-var tableScoped = map[string]bool{"table": true}
+func init() {
+	for arriving, closes := range htmlparse.ImpliedCloses() {
+		autoClose[arriving] = make(map[string]bool, len(closes))
+		for _, c := range closes {
+			autoClose[arriving][c] = true
+		}
+	}
+	for _, n := range htmlparse.ScopeBarriers() {
+		tableScoped[n] = true
+	}
+}
 
 // Normalize converts a raw token stream into a balanced one, per Appendix A
 // step 2: comments, doctypes, and orphan end-tags are discarded; missing

@@ -276,7 +276,7 @@ func (sc *docScanner) startTag(s string, i int) int {
 	if closes := autoCloseOf(id); closes != nil {
 		for len(sc.stack) > 0 {
 			top := sc.stack[len(sc.stack)-1]
-			if !contains(closes, top) || top == tableID {
+			if !contains(closes, top) || isBarrierID(top) {
 				break
 			}
 			sc.pop()
@@ -361,52 +361,32 @@ var (
 	baseVoid []bool
 	baseRaw  []bool
 	// baseAutoClose holds, by base ID, the open element IDs an arriving
-	// start tag of that name implicitly closes.
+	// start tag of that name implicitly closes; baseBarrier marks the IDs
+	// that stop that search. Both come from htmlparse's balancing rules,
+	// whose names all have base IDs.
 	baseAutoClose [][]int32
-	tableID       int32
+	baseBarrier   []bool
 )
 
 func init() {
 	baseVoid = make([]bool, len(baseNames))
 	baseRaw = make([]bool, len(baseNames))
 	baseAutoClose = make([][]int32, len(baseNames))
+	baseBarrier = make([]bool, len(baseNames))
 	for i, n := range baseNames {
 		baseVoid[i] = htmlparse.IsVoid(n)
 		baseRaw[i] = htmlparse.IsRawText(n)
 	}
-	// Every name the normalization rules special-case must be in the base
-	// table, or the ID predicates below would miss it.
-	for _, n := range []string{
-		"area", "base", "basefont", "bgsound", "br", "col", "embed",
-		"frame", "hr", "img", "input", "isindex", "keygen", "link", "meta",
-		"param", "source", "spacer", "track", "wbr",
-	} {
-		if !htmlparse.IsVoid(n) {
-			panic("template: base table lists non-void " + n)
+	for arriving, closes := range htmlparse.ImpliedCloses() {
+		id, _ := htmlparse.ElementID(arriving)
+		for _, c := range closes {
+			cid, _ := htmlparse.ElementID(c)
+			baseAutoClose[id] = append(baseAutoClose[id], cid)
 		}
 	}
-	tableID, _ = htmlparse.ElementID("table")
-	for arriving, closes := range map[string][]string{
-		"li":       {"li"},
-		"p":        {"p"},
-		"dt":       {"dt", "dd"},
-		"dd":       {"dt", "dd"},
-		"option":   {"option"},
-		"tr":       {"td", "th", "tr"},
-		"td":       {"td", "th"},
-		"th":       {"td", "th"},
-		"thead":    {"td", "th", "tr"},
-		"tbody":    {"td", "th", "tr", "thead"},
-		"tfoot":    {"td", "th", "tr", "tbody"},
-		"colgroup": {"colgroup"},
-	} {
-		var ids []int32
-		for _, c := range closes {
-			id, _ := htmlparse.ElementID(c)
-			ids = append(ids, id)
-		}
-		id, _ := htmlparse.ElementID(arriving)
-		baseAutoClose[id] = ids
+	for _, n := range htmlparse.ScopeBarriers() {
+		id, _ := htmlparse.ElementID(n)
+		baseBarrier[id] = true
 	}
 }
 
@@ -419,3 +399,4 @@ func autoCloseOf(id int32) []int32 {
 
 func isVoidID(id int32) bool    { return int(id) < len(baseVoid) && baseVoid[id] }
 func isRawTextID(id int32) bool { return int(id) < len(baseRaw) && baseRaw[id] }
+func isBarrierID(id int32) bool { return int(id) < len(baseBarrier) && baseBarrier[id] }

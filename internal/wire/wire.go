@@ -7,7 +7,9 @@
 // tags, each heuristic's ranking and the compound certainty factors.
 //
 // DecodeRequest, ReadRequest and DecodeTaskLine decode the envelope in one
-// pass, with encoding/json's exact results (decode.go).
+// pass, with encoding/json's exact results (decode.go). A learned site
+// wrapper's saved form, with its corruption and version rules, is declared
+// here too (wrapper.go).
 //
 // The package is a leaf: it imports nothing from this module, so every
 // layer — core, template, pipeline, httpapi, cluster — can share it

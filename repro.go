@@ -30,11 +30,14 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/dbgen"
 	"repro/internal/ontology"
 	"repro/internal/reldb"
+	"repro/internal/tagtree"
 )
 
 // Result is a record-boundary discovery outcome. See core.Result.
@@ -123,7 +126,7 @@ const (
 // assumptions: multiple records (run Discover), a single record (skip
 // discovery, treat the page as one record), or no records at all.
 func Classify(html string, ont *Ontology) (*Classification, error) {
-	return classify.Classify(html, ont)
+	return classify.Classify(context.Background(), html, ont, tagtree.Limits{})
 }
 
 // ParseOntology parses an application ontology from its DSL source. See

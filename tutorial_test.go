@@ -6,12 +6,13 @@ package repro_test
 // code.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/reldb"
-	"repro/internal/wrapper"
 )
 
 const realEstateDSL = `
@@ -167,14 +168,15 @@ func TestTutorialExtraction(t *testing.T) {
 func TestTutorialWrapper(t *testing.T) {
 	ont := tutorialOntology(t)
 	// One page is a legal (if small) training sample for a consistent site.
-	w, err := wrapper.Learn([]string{listingsPage, listingsPage}, ont)
+	ctx := context.Background()
+	w, err := core.LearnSeparator(ctx, []string{listingsPage, listingsPage}, core.Options{Ontology: ont})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Separator != "hr" {
 		t.Errorf("wrapper separator = %s", w.Separator)
 	}
-	recs, err := w.Apply(listingsPage)
+	recs, err := core.ApplySeparator(ctx, listingsPage, w.Separator, core.Options{})
 	if err != nil || len(recs) != 4 {
 		t.Errorf("apply: %d records, err %v", len(recs), err)
 	}
